@@ -480,29 +480,30 @@ func (r *rig) runConsumer(p *sim.Proc, pair int, gate *pairGate) {
 			r.consIdleNanos += int64(p.Now() - start)
 		}
 		readStart := p.Now()
+		path := pairPath(pair, f)
 		var data vfs.Payload
 		switch r.cfg.Backend {
 		case DYAD:
-			got, err := client.Consume(p, ann, pairPath(pair, f))
+			got, err := client.Consume(p, ann, path)
 			if err != nil {
-				panic(fmt.Errorf("core: consumer %s: %w", pairPath(pair, f), err))
+				panic(fmt.Errorf("core: consumer %s: %w", path, err))
 			}
 			data = got
 		default:
 			ann.Begin("read_single_buf")
 			p.CritBegin("workflow", "read_single_buf", trace.ClassMovement)
 			start := p.Now()
-			got, err := fs.ReadFile(p, pairPath(pair, f))
+			got, err := fs.ReadFile(p, path)
 			if err != nil {
-				panic(fmt.Errorf("core: consumer read %s: %w", pairPath(pair, f), err))
+				panic(fmt.Errorf("core: consumer read %s: %w", path, err))
 			}
 			emitSpan(p, "read_single_buf", trace.ClassMovement, start)
 			p.CritEnd()
 			ann.End("read_single_buf")
 			data = got
 		}
-		p.CritDepend(pairPath(pair, f), "consume")
-		p.CritHop(pairPath(pair, f), "consume", readStart, data.Size())
+		p.CritDepend(path, "consume")
+		p.CritHop(path, "consume", readStart, data.Size())
 		p.Rec().Emit(trace.Span{Proc: p.Name(), Component: "workflow", Name: "frame_consumed",
 			Start: p.Now(), Bytes: data.Size()})
 		p.Tracef("consumed frame %d (%d bytes)", f, data.Size())

@@ -1,11 +1,12 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // The kernel advances a virtual clock over a priority queue of events and
-// runs simulated processes as goroutine coroutines: at any instant at most
-// one process goroutine executes, and control passes between the kernel and
-// the running process through unbuffered channels ("baton passing"). Given
-// the same seed and the same spawn order, a simulation is fully
-// deterministic and independent of wall-clock scheduling.
+// runs simulated processes as coroutines built on iter.Pull: at any instant
+// at most one process executes, and control passes between the kernel and
+// the running process by a direct coroutine switch ("baton passing") that
+// never touches a channel or the Go run queue. Given the same seed and the
+// same spawn order, a simulation is fully deterministic and independent of
+// wall-clock scheduling.
 //
 // The kernel is the substrate for every simulated subsystem in this
 // repository: storage devices, network fabrics, filesystems, the Lustre and
@@ -74,18 +75,17 @@ type Engine struct {
 	// pq holds the pending events by (at, seq): an adaptive queue that is
 	// the inlined 4-ary min-heap for paper-sized runs and migrates to an
 	// amortized-O(1) ladder queue past ~1k pending events (queue.go).
-	pq       eventq
-	evHint   int           // Prealloc events hint; sizes sharded queues too
-	kernelCh chan struct{} // procs hand the baton back on this channel
-	procs    []*Proc
-	live     int // procs spawned and not yet finished
-	blocked  int // procs blocked on signals/resources (not timed events)
-	seed     uint64
-	failure  error
-	tracer   func(t Time, procName, msg string)
-	rec      *trace.Recorder
-	cp       *critpath.Recorder
-	curProc  int32 // proc currently holding the baton, noProc in the kernel
+	pq      eventq
+	evHint  int // Prealloc events hint; sizes sharded queues too
+	procs   []*Proc
+	live    int // procs spawned and not yet finished
+	blocked int // procs blocked on signals/resources (not timed events)
+	seed    uint64
+	failure error
+	tracer  func(t Time, procName, msg string)
+	rec     *trace.Recorder
+	cp      *critpath.Recorder
+	curProc int32 // proc currently holding the baton, noProc in the kernel
 
 	// Watchdog limits (0 = unlimited); see SetWatchdog.
 	maxEvents int64
@@ -115,9 +115,8 @@ type Engine struct {
 // equal workloads produce identical event timelines.
 func NewEngine(seed uint64) *Engine {
 	return &Engine{
-		kernelCh: make(chan struct{}),
-		seed:     seed,
-		curProc:  noProc,
+		seed:    seed,
+		curProc: noProc,
 	}
 }
 

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -134,29 +136,55 @@ func TestLatchWaitAfterFireReturnsImmediately(t *testing.T) {
 	}
 }
 
+// Processes blocked forever are reported as stranded, by name, and unwound
+// through their deferred cleanup; no process coroutine outlives Run.
 func TestStrandedProcessesReported(t *testing.T) {
+	before := runtime.NumGoroutine()
 	e := NewEngine(1)
 	var sig Signal
-	e.Spawn("stuck", func(p *Proc) {
-		sig.Wait(p) // never broadcast
-		t.Error("stranded process resumed normally")
-	})
-	err := e.Run()
-	if err == nil {
-		t.Fatal("want ErrStranded, got nil")
+	cleaned := 0
+	for _, name := range []string{"stuck-a", "stuck-b"} {
+		e.Spawn(name, func(p *Proc) {
+			defer func() { cleaned++ }()
+			sig.Wait(p) // never broadcast
+			t.Error("stranded process resumed normally")
+		})
 	}
+	e.Spawn("done", func(p *Proc) { p.Sleep(time.Millisecond) })
+	err := e.Run()
+	if !errors.Is(err, ErrStranded) {
+		t.Fatalf("err = %v, want ErrStranded", err)
+	}
+	if !strings.Contains(err.Error(), "[stuck-a stuck-b]") {
+		t.Fatalf("err = %q does not name the stranded processes", err)
+	}
+	if cleaned != 2 {
+		t.Fatalf("%d of 2 stranded processes unwound", cleaned)
+	}
+	expectNoLeakedProcs(t, before)
 }
 
+// A panic with a non-error value is reported with its printed value and
+// wraps no sentinel; the sleeping bystanders are unwound.
 func TestProcessPanicSurfacesAsError(t *testing.T) {
+	before := runtime.NumGoroutine()
 	e := NewEngine(1)
+	unwound := spawnSleepers(e, 2)
 	e.Spawn("bad", func(p *Proc) {
 		p.Sleep(time.Millisecond)
 		panic("boom")
 	})
 	err := e.Run()
-	if err == nil {
-		t.Fatal("want panic error, got nil")
+	if err == nil || err.Error() != `sim: process "bad" panicked: boom` {
+		t.Fatalf("err = %v, want the panicked value reported", err)
 	}
+	if errors.Is(err, ErrStranded) || errors.Is(err, ErrWatchdog) {
+		t.Fatalf("err = %v wraps a kernel sentinel", err)
+	}
+	if *unwound != 2 {
+		t.Fatalf("%d of 2 sleepers unwound", *unwound)
+	}
+	expectNoLeakedProcs(t, before)
 }
 
 func TestResourceFIFOAndContention(t *testing.T) {

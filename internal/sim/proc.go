@@ -1,20 +1,32 @@
+//go:build go1.23
+
+// The go1.23 constraint raises this file's language version above the
+// module's go 1.22 line: iter.Pull, which the process kernel is built on,
+// arrived in go1.23. Raising the go line in go.mod instead would make every
+// -mod=mod build of a module that requires this one rewrite that module's
+// go.mod. Building the package therefore needs a go1.23 or newer toolchain.
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"time"
 
 	"repro/internal/trace"
 )
 
-// Proc is a simulated process: a goroutine that runs user code and yields to
-// the kernel whenever it sleeps or blocks. Exactly one Proc executes at a
-// time, so user code never needs locks for simulation state.
+// Proc is a simulated process: a coroutine (iter.Pull) that runs user code
+// and yields to the kernel whenever it sleeps or blocks. The kernel resumes
+// it with a direct coroutine switch — no channel operation, no run queue —
+// and exactly one Proc executes at a time, so user code never needs locks
+// for simulation state.
 type Proc struct {
 	e       *Engine
 	name    string
-	idx     int32 // index in Engine.procs; identifies the proc in events
-	resume  chan struct{}
+	idx     int32                   // index in Engine.procs; identifies the proc in events
+	next    func() (struct{}, bool) // resumes the coroutine until it yields or finishes
+	suspend func(struct{}) bool     // the coroutine's yield: switches back to next's caller
 	done    bool
 	waiting bool // blocked on a signal/resource (not a timed event)
 	aborted bool
@@ -29,16 +41,17 @@ type procAbort struct{}
 // virtual time. It may be called before Run or from within another process.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{
-		e:      e,
-		name:   name,
-		idx:    int32(len(e.procs)),
-		resume: make(chan struct{}),
-		rng:    NewRNG(e.seed ^ hash64(name) ^ uint64(len(e.procs)+1)*0x9e3779b97f4a7c15),
+		e:    e,
+		name: name,
+		idx:  int32(len(e.procs)),
+		rng:  NewRNG(e.seed ^ hash64(name) ^ uint64(len(e.procs)+1)*0x9e3779b97f4a7c15),
 	}
 	e.procs = append(e.procs, p)
 	e.live++
-	go func() {
-		<-p.resume // wait for first delivery
+	// The stop function is never needed: every coroutine runs its sequence
+	// function to the end, normally or unwound by abort.
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.suspend = yield
 		defer func() {
 			if r := recover(); r != nil {
 				if _, isAbort := r.(procAbort); !isAbort && e.failure == nil {
@@ -57,12 +70,16 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 			}
 			p.done = true
 			e.live--
-			e.kernelCh <- struct{}{} // final baton back to the kernel
 		}()
-		if !p.aborted { // aborted before first delivery: never run user code
-			fn(p)
-		}
-	}()
+		// Park until the first delivery; a process aborted before it
+		// unwinds from here without running user code.
+		p.yield()
+		fn(p)
+	})
+	// Run the prologue up to that park now: iter.Pull builds its yield
+	// closure on a coroutine's first resume, and paying that allocation in
+	// Spawn keeps Run's switches allocation-free from the first one on.
+	p.next()
 	if cp := e.cp; cp != nil {
 		cp.StartProc(p.idx, name, e.curProc, e.now)
 	}
@@ -70,38 +87,39 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// deliver hands the baton to p and blocks until p yields it back (by
-// sleeping, blocking, or finishing).
+// deliver switches to p and returns once p yields back (by sleeping,
+// blocking, or finishing). Events fire only on the goroutine that called
+// Run, in serial and sharded mode alike, so next is never called
+// concurrently.
 func (e *Engine) deliver(p *Proc) {
 	if p.done {
 		panic(fmt.Sprintf("sim: wake of finished process %q", p.name))
 	}
 	p.waiting = false
 	// curProc lets Wake and Spawn hooks attribute releases to the proc
-	// that caused them; the kernel goroutine is parked in kernelCh while
-	// p runs, so the field is stable for p's whole turn.
+	// that caused them; the kernel is suspended in next while p runs, so
+	// the field is stable for p's whole turn.
 	e.curProc = p.idx
-	p.resume <- struct{}{}
-	<-e.kernelCh
+	p.next()
 	e.curProc = noProc
 }
 
-// yield hands the baton back to the kernel and blocks until re-delivered.
+// yield switches back to the kernel and returns once p is re-delivered.
 func (p *Proc) yield() {
-	p.e.kernelCh <- struct{}{}
-	<-p.resume
+	p.suspend(struct{}{})
 	if p.aborted {
 		panic(procAbort{})
 	}
 }
 
-// abort unwinds a stranded (blocked) process so its goroutine exits.
-// Called by the kernel only, for procs with waiting==true.
+// abort unwinds a process that can never be delivered again so its
+// coroutine exits. Called by the kernel only, from finish: for stranded
+// (blocked) procs, and after a failure for procs whose delivery died with
+// the queue.
 func (p *Proc) abort() {
 	p.aborted = true
 	p.e.curProc = p.idx
-	p.resume <- struct{}{}
-	<-p.e.kernelCh
+	p.next()
 	p.e.curProc = noProc
 }
 

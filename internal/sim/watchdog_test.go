@@ -44,17 +44,13 @@ func TestWatchdogAbortsVirtualTimeRunaway(t *testing.T) {
 }
 
 // A watchdog abort strands well-behaved sleeping processes: their delivery
-// events die with the queue. They must be unwound so no goroutines leak.
+// events die with the queue. They must be unwound so no coroutines leak.
 func TestWatchdogAbortLeaksNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 10; i++ {
 		e := NewEngine(uint64(i))
 		e.SetWatchdog(1_000, 0)
-		for j := 0; j < 8; j++ {
-			e.Spawn("sleeper", func(p *Proc) {
-				p.Sleep(time.Hour)
-			})
-		}
+		unwound := spawnSleepers(e, 8)
 		e.Spawn("livelock", func(p *Proc) {
 			for {
 				p.Sleep(0)
@@ -63,20 +59,11 @@ func TestWatchdogAbortLeaksNoGoroutines(t *testing.T) {
 		if err := e.Run(); !errors.Is(err, ErrWatchdog) {
 			t.Fatalf("iteration %d: err = %v, want ErrWatchdog", i, err)
 		}
-	}
-	// Aborted procs unwind synchronously in Run, but give the runtime a
-	// moment to retire them before counting.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		runtime.GC()
-		if runtime.NumGoroutine() <= before || time.Now().After(deadline) {
-			break
+		if *unwound != 8 {
+			t.Fatalf("iteration %d: %d of 8 sleepers unwound", i, *unwound)
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
-	if after := runtime.NumGoroutine(); after > before+2 {
-		t.Fatalf("goroutines grew from %d to %d: aborted runs leak", before, after)
-	}
+	expectNoLeakedProcs(t, before)
 }
 
 // Below its limits the watchdog must be invisible: same timeline, no error.

@@ -131,8 +131,12 @@ func (f *FS) WriteFile(p *sim.Proc, path string, pl vfs.Payload) error {
 		return vfs.PathError("write", path, err)
 	}
 	f.tree.Put(path, pl)
-	p.CritProduce(vfs.Clean(path), pl.Size())
-	p.CritHop(vfs.Clean(path), "write", wStart, pl.Size())
+	if p.Engine().CritRecorder() != nil {
+		// Canonicalizing the token allocates; pay it only when recording.
+		key := vfs.Clean(path)
+		p.CritProduce(key, pl.Size())
+		p.CritHop(key, "write", wStart, pl.Size())
+	}
 	return nil
 }
 
@@ -168,8 +172,11 @@ func (f *FS) ReadFile(p *sim.Proc, path string) (vfs.Payload, error) {
 	if f.cap != nil {
 		f.cap.MarkConsumed(vfs.Clean(path))
 	}
-	p.CritDepend(vfs.Clean(path), "read")
-	p.CritHop(vfs.Clean(path), "read", rStart, pl.Size())
+	if p.Engine().CritRecorder() != nil {
+		key := vfs.Clean(path)
+		p.CritDepend(key, "read")
+		p.CritHop(key, "read", rStart, pl.Size())
+	}
 	return pl, nil
 }
 

@@ -17,6 +17,16 @@ go test ./...
 echo "== go vet ./... =="
 go vet ./...
 
+echo "== gofmt -l . =="
+# Every Go file must be gofmt-clean: gofmt -l names the files whose
+# formatting differs, so any output fails the gate.
+UNFORMATTED="$(gofmt -l .)"
+if [ -n "$UNFORMATTED" ]; then
+	echo "gofmt: unformatted files:"
+	echo "$UNFORMATTED"
+	exit 1
+fi
+
 echo "== go test -race ./... =="
 go test -race ./...
 
