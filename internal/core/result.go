@@ -80,6 +80,15 @@ type Result struct {
 	// Crit holds the run's extracted critical path and per-frame provenance
 	// lineages when Config.CritPath is set (nil otherwise).
 	Crit *critpath.Summary
+
+	// Events and Switches measure the simulator itself rather than the
+	// simulated system: events fired and coroutine switches into processes
+	// over the run (sim.Engine.Events, Switches). Filled at the end of the
+	// run; no report prints them. Switches depends on the engine mode
+	// (sleeps complete in place only on the serial engine); Events does
+	// not.
+	Events   int64
+	Switches int64
 }
 
 // collect derives the Result from the rig's profiles and counters.
@@ -101,6 +110,8 @@ func (r *rig) collect() (*Result, error) {
 		Makespan:   r.eng.Now(),
 		FramesRead: r.framesRead,
 		BytesRead:  r.bytesRead,
+		Events:     r.eng.Events(),
+		Switches:   r.eng.Switches(),
 	}
 	res.Recovery = r.recovery
 	if r.capMet != nil {

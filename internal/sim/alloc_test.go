@@ -1,14 +1,17 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
 
 // steadyAllocs measures the total heap allocations of one engine lifetime
-// delivering `events` sleep events, with the given shard worker count
-// (<= 1 serial).
-func steadyAllocs(t *testing.T, events, shards int) float64 {
+// delivering about `events` sleep events, with the given shard worker count
+// (<= 1 serial). With interleaved set, two processes sleep at alternating
+// phases so every sleep switches coroutines; otherwise one process sleeps
+// alone and (serially) every sleep completes in place.
+func steadyAllocs(t *testing.T, events, shards int, interleaved bool) float64 {
 	t.Helper()
 	return testing.AllocsPerRun(5, func() {
 		e := NewEngine(1)
@@ -16,15 +19,33 @@ func steadyAllocs(t *testing.T, events, shards int) float64 {
 			e.SetShardWorkers(shards)
 			e.SetLookahead(4 * time.Microsecond)
 		}
-		e.Spawn("p", func(p *Proc) {
-			for i := 0; i < events; i++ {
-				p.Sleep(time.Microsecond)
-			}
-		})
+		if interleaved {
+			spawnInterleaved(e, events/2)
+		} else {
+			e.Spawn("p", func(p *Proc) {
+				for i := 0; i < events; i++ {
+					p.Sleep(time.Microsecond)
+				}
+			})
+		}
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
 	})
+}
+
+// spawnInterleaved spawns two processes that each sleep n times for 2µs,
+// the second offset by 1µs: every wake-up finds the other process's
+// wake-up pending before it, so no sleep can complete in place.
+func spawnInterleaved(e *Engine, n int) {
+	for i := 0; i < 2; i++ {
+		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
+			p.Sleep(time.Duration(i) * time.Microsecond)
+			for s := 0; s < n; s++ {
+				p.Sleep(2 * time.Microsecond)
+			}
+		})
+	}
 }
 
 // The kernel's steady state is allocation-free (DESIGN.md §3c), and the
@@ -32,15 +53,19 @@ func steadyAllocs(t *testing.T, events, shards int) float64 {
 // event count 100x must not add a single allocation — everything measured
 // belongs to engine setup. This is the tracing-off half of the tentpole's
 // zero-cost contract; the instrumented components pay one nil check per
-// operation and nothing else.
+// operation and nothing else. Both sleep paths are held to it: a lone
+// sleeper (in place) and two interleaved sleepers (a switch per sleep).
 func TestSteadyStateZeroAllocsWithTracingOff(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; allocation budget checked without -race")
 	}
-	base := steadyAllocs(t, 200, 1)
-	long := steadyAllocs(t, 20_000, 1)
-	if delta := long - base; delta > 0 {
-		t.Fatalf("steady state allocates: %0.f allocs over 19800 extra events (base %.0f, long %.0f)", delta, base, long)
+	for _, interleaved := range []bool{false, true} {
+		base := steadyAllocs(t, 200, 1, interleaved)
+		long := steadyAllocs(t, 20_000, 1, interleaved)
+		if delta := long - base; delta > 0 {
+			t.Fatalf("steady state (interleaved=%v) allocates: %0.f allocs over 19800 extra events (base %.0f, long %.0f)",
+				interleaved, delta, base, long)
+		}
 	}
 }
 
@@ -52,8 +77,8 @@ func TestShardedSteadyStateZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; allocation budget checked without -race")
 	}
-	base := steadyAllocs(t, 200, 8)
-	long := steadyAllocs(t, 20_000, 8)
+	base := steadyAllocs(t, 200, 8, false)
+	long := steadyAllocs(t, 20_000, 8, false)
 	if delta := long - base; delta > 0 {
 		t.Fatalf("sharded steady state allocates: %0.f allocs over 19800 extra events (base %.0f, long %.0f)", delta, base, long)
 	}

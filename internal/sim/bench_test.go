@@ -7,10 +7,11 @@ import (
 	"time"
 )
 
-// BenchmarkSleepEvents measures kernel throughput: one process sleeping
-// b.N times (schedule + heap + baton passing per event). The steady-state
-// allocation budget is zero: deliver events carry a proc index, not a
-// closure, and the heap slice is reused.
+// BenchmarkSleepEvents measures the in-place sleep path: one process
+// sleeping b.N times, whose wake-up is always the next event, so each sleep
+// advances the clock and counts the event without touching the queue or
+// switching coroutines (Proc.Sleep). BenchmarkSleepSwitch measures the
+// switching path. The steady-state allocation budget is zero.
 func BenchmarkSleepEvents(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine(1)
@@ -19,6 +20,21 @@ func BenchmarkSleepEvents(b *testing.B) {
 			p.Sleep(time.Microsecond)
 		}
 	})
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkSleepSwitch measures the switching sleep path: two processes
+// sleeping at interleaved phases, so each wake-up finds the other's pending
+// before it and every event is schedule + queue + a coroutine switch. The
+// steady-state allocation budget is zero: deliver events carry a proc
+// index, not a closure, and the queue's backing array is reused.
+func BenchmarkSleepSwitch(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine(1)
+	spawnInterleaved(e, b.N/2+1)
 	b.ResetTimer()
 	if err := e.Run(); err != nil {
 		b.Fatal(err)

@@ -8,6 +8,13 @@
 // same spawn order, a simulation is fully deterministic and independent of
 // wall-clock scheduling.
 //
+// A switch is the kernel's main host cost, so the serial engine skips the
+// ones that cannot matter: when a sleeping process's own wake-up is the
+// next event to fire, Sleep advances the clock in place — same sequence
+// number, sampler boundaries, watchdog budget, and event count as the
+// popped event — and returns without yielding (see Proc.Sleep). Switches
+// counts the switches that remain.
+//
 // The kernel is the substrate for every simulated subsystem in this
 // repository: storage devices, network fabrics, filesystems, the Lustre and
 // DYAD services, and the MD workflow processes themselves. Millions of
@@ -79,13 +86,20 @@ type Engine struct {
 	evHint  int // Prealloc events hint; sizes sharded queues too
 	procs   []*Proc
 	live    int // procs spawned and not yet finished
-	blocked int // procs blocked on signals/resources (not timed events)
 	seed    uint64
 	failure error
 	tracer  func(t Time, procName, msg string)
 	rec     *trace.Recorder
 	cp      *critpath.Recorder
 	curProc int32 // proc currently holding the baton, noProc in the kernel
+
+	// inPlace is set while runSerial drives the run: Sleep may then fire
+	// its own wake-up without a coroutine switch (see Proc.Sleep).
+	// forceSwitch keeps it off — the schedule-and-yield reference path the
+	// package's differential tests compare against.
+	inPlace     bool
+	forceSwitch bool
+	switches    int64 // coroutine resumes in deliver
 
 	// Watchdog limits (0 = unlimited); see SetWatchdog.
 	maxEvents int64
@@ -153,11 +167,11 @@ func (e *Engine) Reset(seed uint64) {
 	e.now = 0
 	e.seq = 0
 	e.fired = 0
+	e.switches = 0
 	for i := range e.procs {
 		e.procs[i] = nil
 	}
 	e.procs = e.procs[:0]
-	e.blocked = 0
 	e.seed = seed
 	e.failure = nil
 	e.tracer = nil
@@ -212,8 +226,15 @@ func (e *Engine) SetWatchdog(maxEvents int64, maxTime Time) {
 	e.maxTime = maxTime
 }
 
-// Events returns the number of events fired so far.
+// Events returns the number of events fired so far, counting each sleep
+// that completed in place (see Proc.Sleep) as the event it stands for.
 func (e *Engine) Events() int64 { return e.fired }
+
+// Switches returns the number of coroutine switches into processes so far:
+// the deliveries that resumed a process. The other events Events counts are
+// callbacks, sleeps that completed in place, and a watchdog's tripping
+// event.
+func (e *Engine) Switches() int64 { return e.switches }
 
 // SetSampler installs a fixed-interval virtual-time sampler: before each
 // event fires, fn runs once for every elapsed boundary t = every, 2*every,
@@ -378,26 +399,47 @@ func (e *Engine) Run() error {
 // runSerial is the classic engine loop: pop and execute events in (at, seq)
 // order from the single queue.
 func (e *Engine) runSerial() {
+	e.inPlace = !e.forceSwitch
 	for e.pq.len() > 0 {
 		ev := e.pop()
 		if !e.step(&ev) {
 			break
 		}
 	}
+	e.inPlace = false
 }
 
-// step advances the run by one popped event: it checks the watchdog, fires
-// the sampler for every boundary the event carries the timeline across, and
-// executes the event. It returns false when the run must stop (watchdog
-// trip or process failure). Both the serial loop and the sharded window
-// loop drive the run exclusively through step, so the two modes cannot
-// diverge in sampling, watchdog, or failure semantics.
+// step advances the run by one popped event and executes it. It returns
+// false when the run must stop (watchdog trip or process failure). Both the
+// serial loop and the sharded window loop drive the run exclusively through
+// step, so the two modes cannot diverge in sampling, watchdog, or failure
+// semantics.
 func (e *Engine) step(ev *event) bool {
+	if !e.advance(ev.at) {
+		return false
+	}
+	e.fire(ev)
+	return e.failure == nil
+}
+
+// overBudget reports whether firing one more event at at exceeds a
+// watchdog limit.
+func (e *Engine) overBudget(at Time) bool {
+	return (e.maxEvents > 0 && e.fired+1 > e.maxEvents) || (e.maxTime > 0 && at > e.maxTime)
+}
+
+// advance carries the run up to the firing of one event at at: it checks
+// the watchdog, fires the sampler for every boundary the event carries the
+// timeline across, then sets the clock and counts the event. It returns
+// false, with the run's failure recorded, when the watchdog trips. step and
+// the in-place sleep (Proc.Sleep) both go through advance, so an event
+// costs the same budget and takes the same samples on either path.
+func (e *Engine) advance(at Time) bool {
 	// The watchdog is checked before the sampler so an aborting run takes
 	// no samples for boundaries its final, never-executed event would have
 	// crossed (see SetSampler).
-	if (e.maxEvents > 0 && e.fired+1 > e.maxEvents) || (e.maxTime > 0 && ev.at > e.maxTime) {
-		e.now = ev.at
+	if e.overBudget(at) {
+		e.now = at
 		e.fired++
 		e.failure = fmt.Errorf("%w: %d events fired, virtual time %v (limits: %d events, %v)",
 			ErrWatchdog, e.fired, e.now, e.maxEvents, e.maxTime)
@@ -408,16 +450,15 @@ func (e *Engine) step(ev *event) bool {
 		// with the clock parked on the boundary so time-integrated
 		// probes (Resource.BusyUnitNanos) integrate exactly to it.
 		// Boundaries at the event's own instant sample before it fires.
-		for e.sampleNext <= ev.at {
+		for e.sampleNext <= at {
 			e.now = e.sampleNext
 			e.sampleFn(e.sampleNext)
 			e.sampleNext += e.sampleEvery
 		}
 	}
-	e.now = ev.at
+	e.now = at
 	e.fired++
-	e.fire(ev)
-	return e.failure == nil
+	return true
 }
 
 // finish unwinds the run: stranded and orphaned processes are aborted,

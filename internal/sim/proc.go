@@ -100,6 +100,7 @@ func (e *Engine) deliver(p *Proc) {
 	// that caused them; the kernel is suspended in next while p runs, so
 	// the field is stable for p's whole turn.
 	e.curProc = p.idx
+	e.switches++
 	p.next()
 	e.curProc = noProc
 }
@@ -140,13 +141,31 @@ func (p *Proc) Rand() *RNG { return &p.rng }
 // nil-safe) or guard extra work with p.Rec().Enabled().
 func (p *Proc) Rec() *trace.Recorder { return p.e.rec }
 
-// Sleep advances the process by d of virtual time. Negative d panics;
-// zero d still yields (other events at the same instant run first).
+// Sleep advances the process by d of virtual time. Negative d panics.
+// Events already pending at the wake-up instant (including the current
+// instant when d is zero) still run first.
+//
+// When the wake-up would be the next event to fire anyway — nothing is
+// pending before it or at the same instant — a serial run fires it in
+// place: the clock, sequence counter, event count, sampler, and watchdog
+// advance exactly as if the kernel had popped it, and Sleep returns without
+// a coroutine switch. Only the serial loop enables this: sharded runs, and
+// processes unwinding in finish (aborted ones included), always yield.
 func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: process %q sleeping negative duration %v", p.name, d))
 	}
-	p.e.scheduleDeliver(p.e.now+d, p.idx)
+	e := p.e
+	at := e.now + d
+	// Strictly before the queue head: an event pending at the same instant
+	// carries a smaller seq and must fire first. A wake-up that would trip
+	// the watchdog takes the switching path, so step trips it as usual.
+	if e.inPlace && e.pq.firstAt(at) && !e.overBudget(at) {
+		e.seq++
+		e.advance(at)
+		return
+	}
+	e.scheduleDeliver(at, p.idx)
 	p.yield()
 }
 

@@ -246,6 +246,22 @@ func (q *eventq) peek() event {
 	return q.bottom[q.bpos]
 }
 
+// firstAt reports whether an event at at would be the next one popped:
+// strictly before every pending event. It never restructures the queue, so
+// in ladder mode with the bottom band drained (the head not yet sorted out
+// of the rungs) it answers false rather than refill.
+func (q *eventq) firstAt(at Time) bool {
+	switch {
+	case q.size == 0:
+		return true
+	case !q.ladder:
+		return at < q.heap[0].at
+	case q.bpos < len(q.bottom):
+		return at < q.bottom[q.bpos].at
+	}
+	return false
+}
+
 // reset empties the queue, zeroes every slot (so no callback outlives the
 // run), keeps all backing arrays for reuse, and reverts to heap mode.
 func (q *eventq) reset() {

@@ -72,6 +72,7 @@ func TestQueueEquivalenceRandom(t *testing.T) {
 						if q.len() != ref.Len() {
 							t.Fatalf("op %d: size %d vs reference %d", i, q.len(), ref.Len())
 						}
+						checkFirstAt(t, i, &q, ref)
 					}
 					for ref.Len() > 0 {
 						got := q.pop()
@@ -87,6 +88,28 @@ func TestQueueEquivalenceRandom(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// checkFirstAt holds eventq.firstAt (the in-place sleep test) to the
+// reference head: it must never admit the head's own instant, and it must
+// admit the instant just before it except where it is allowed to answer
+// conservatively, in ladder mode with the bottom band drained. The pops
+// that follow double as the check that firstAt never perturbs the order.
+func checkFirstAt(t *testing.T, op int, q *eventq, ref *refHeap) {
+	t.Helper()
+	if ref.Len() == 0 {
+		if !q.firstAt(0) {
+			t.Fatalf("op %d: firstAt on an empty queue = false", op)
+		}
+		return
+	}
+	head := (*ref)[0].at
+	if q.firstAt(head) {
+		t.Fatalf("op %d: firstAt(%v) = true with an event pending then", op, head)
+	}
+	if !q.firstAt(head-1) && (!q.ladder || q.bpos < len(q.bottom)) {
+		t.Fatalf("op %d: firstAt(%v) = false just before the head at %v", op, head-1, head)
 	}
 }
 
