@@ -26,6 +26,9 @@ go build -o /tmp/benchrec ./cmd/benchrec
 	go test -run=NONE -bench='BenchmarkCalibrateEval' -benchtime=2x ./internal/calib/
 	go test -run=NONE -bench='BenchmarkCritpathExtract' -benchtime=20000x ./internal/critpath/
 	go test -run=NONE -bench='BenchmarkProvenanceRecord' -benchtime=500x ./internal/critpath/
+	go test -run=NONE -bench='BenchmarkWriteChrome' -benchtime=20x ./internal/trace/
+	go test -run=NONE -bench='BenchmarkWriteMetricsCSV' -benchtime=50x ./internal/metrics/
+	go test -run=NONE -bench='BenchmarkWriteWaterfall' -benchtime=200x ./internal/critpath/
 	go test -run=NONE -bench='BenchmarkFig5$|BenchmarkFig6$|BenchmarkWorkflowLargePairs$|BenchmarkRepeatPooled$' -benchtime=2x .
 } | tee /dev/stderr | /tmp/benchrec -label "$LABEL" -o "$LEDGER"
 

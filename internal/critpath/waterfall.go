@@ -1,8 +1,9 @@
 package critpath
 
 import (
-	"fmt"
+	"bufio"
 	"io"
+	"strconv"
 
 	"repro/internal/trace"
 )
@@ -16,34 +17,31 @@ type LineageSet struct {
 
 // WriteWaterfall writes frame provenance as a long-format CSV: one row per
 // lineage hop, ordered by run, then frame first appearance, then hop
-// recording order — a plotting-ready waterfall.
+// recording order — a plotting-ready waterfall. Rows are encoded into one
+// reused scratch buffer and written through a bufio.Writer, so a hop costs
+// neither an allocation nor a write call on w.
 func WriteWaterfall(w io.Writer, runs []LineageSet) error {
-	if _, err := io.WriteString(w, "run,frame,hop,proc,start_us,dur_us,bytes\n"); err != nil {
-		return err
-	}
+	bw := bufio.NewWriter(w)
+	bw.WriteString("run,frame,hop,proc,start_us,dur_us,bytes\n")
+	var b []byte
 	for _, set := range runs {
 		for _, fl := range set.Frames {
 			for _, h := range fl.Hops {
-				_, err := fmt.Fprintf(w, "%s,%s,%s,%s,%s,%s,%d\n",
-					set.Label, fl.Key, h.Name, h.Proc, us(h.Start), us(h.End-h.Start), h.Bytes)
-				if err != nil {
+				b = append(b[:0], set.Label...)
+				b = append(append(b, ','), fl.Key...)
+				b = append(append(b, ','), h.Name...)
+				b = append(append(b, ','), h.Proc...)
+				b = trace.AppendMicros(append(b, ','), h.Start)
+				b = trace.AppendMicros(append(b, ','), h.End-h.Start)
+				b = strconv.AppendInt(append(b, ','), h.Bytes, 10)
+				b = append(b, '\n')
+				if _, err := bw.Write(b); err != nil {
 					return err
 				}
 			}
 		}
 	}
-	return nil
-}
-
-// us renders a duration in microseconds: integer when whole, three
-// fractional digits otherwise (the same fixed formatting trace uses, so
-// artifacts stay byte-stable across platforms).
-func us(d Time) string {
-	micros := d.Nanoseconds() / 1000
-	if rem := d.Nanoseconds() % 1000; rem != 0 {
-		return fmt.Sprintf("%d.%03d", micros, rem)
-	}
-	return fmt.Sprintf("%d", micros)
+	return bw.Flush()
 }
 
 // FlowEvents converts frame lineages into Chrome flow events: one flow per

@@ -304,14 +304,13 @@ func (r *Registry) Sample(t time.Duration) {
 		return
 	}
 	sec := r.interval.Seconds()
-	if r.sink != nil {
-		bw := r.sink.bw
-		bw.WriteString(fmtF(t.Seconds()))
+	if k := r.sink; k != nil {
+		b := appendF(k.buf[:0], t.Seconds())
 		for _, s := range r.series {
-			bw.WriteByte(',')
-			bw.WriteString(fmtF(s.sample(r.interval, sec)))
+			b = appendF(append(b, ','), s.sample(r.interval, sec))
 		}
-		bw.WriteByte('\n')
+		k.buf = append(b, '\n')
+		k.bw.Write(k.buf)
 		return
 	}
 	r.times = append(r.times, t)
@@ -404,6 +403,10 @@ type Run struct {
 // byte-identity check relies on.
 func fmtF(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
+// appendF appends v in fmtF's formatting — the allocation-free form the CSV
+// rows are encoded with.
+func appendF(dst []byte, v float64) []byte { return strconv.AppendFloat(dst, v, 'g', -1, 64) }
+
 // writeCSVRunHeader writes one run's "# label" comment and header row —
 // shared by WriteCSV and CSVSink so buffered and streamed exports of the
 // same runs are byte-identical by construction.
@@ -426,18 +429,19 @@ func writeCSVRunHeader(bw *bufio.Writer, label string, series []*Series) {
 // samples serialize to deterministic bytes.
 func WriteCSV(w io.Writer, runs []Run) error {
 	bw := bufio.NewWriter(w)
+	var b []byte // one row's scratch, reused across rows and runs
 	for ri, run := range runs {
 		if ri > 0 {
 			bw.WriteByte('\n')
 		}
 		writeCSVRunHeader(bw, run.Label, run.Reg.Series())
 		for i, t := range run.Reg.Times() {
-			bw.WriteString(fmtF(t.Seconds()))
+			b = appendF(b[:0], t.Seconds())
 			for _, s := range run.Reg.Series() {
-				bw.WriteByte(',')
-				bw.WriteString(fmtF(s.Samples[i]))
+				b = appendF(append(b, ','), s.Samples[i])
 			}
-			bw.WriteByte('\n')
+			b = append(b, '\n')
+			bw.Write(b)
 		}
 	}
 	return bw.Flush()
@@ -452,6 +456,7 @@ func WriteCSV(w io.Writer, runs []Run) error {
 // at a time: concurrently executing sampled runs must not share it.
 type CSVSink struct {
 	bw   *bufio.Writer
+	buf  []byte // one row's scratch, reused across sample boundaries
 	runs int
 }
 

@@ -68,17 +68,37 @@ func WriteChrome(w io.Writer, runs []Run) error {
 	return cs.Close()
 }
 
-// us renders a virtual duration as microseconds at nanosecond resolution:
-// an integer when whole, otherwise exactly three fractional digits. Fixed
-// formatting keeps the serialized trace byte-stable.
-func us(d time.Duration) string {
+// AppendMicros appends a virtual duration as microseconds at nanosecond
+// resolution: an integer when whole, otherwise exactly three fractional
+// digits. Fixed formatting keeps the serialized trace byte-stable. A
+// negative non-whole duration keeps the historical "%d.%03d" rendering of
+// its truncated quotient and remainder (both signed), so every exporter
+// that shares this helper stays byte-identical for any input.
+func AppendMicros(dst []byte, d time.Duration) []byte {
 	ns := int64(d)
-	if ns%1000 == 0 {
-		return strconv.FormatInt(ns/1000, 10)
+	rem := ns % 1000
+	if rem == 0 {
+		return strconv.AppendInt(dst, ns/1000, 10)
 	}
-	return fmt.Sprintf("%d.%03d", ns/1000, ns%1000)
+	if ns < 0 {
+		return fmt.Appendf(dst, "%d.%03d", ns/1000, rem)
+	}
+	dst = strconv.AppendInt(dst, ns/1000, 10)
+	return append(dst, '.', byte('0'+rem/100), byte('0'+rem/10%10), byte('0'+rem%10))
 }
 
-// quote JSON-escapes a string (names and labels are ASCII identifiers, but
-// escaping keeps arbitrary attributes safe).
-func quote(s string) string { return strconv.Quote(s) }
+// appendQuote appends s as a quoted string literal, exactly as
+// strconv.Quote renders it. Names and labels are printable-ASCII
+// identifiers without quotes or backslashes, for which Quote adds only the
+// surrounding quotes; anything else (escapes, control bytes, non-ASCII,
+// invalid UTF-8) goes through strconv.AppendQuote.
+func appendQuote(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
+			return strconv.AppendQuote(dst, s)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"strconv"
 )
@@ -17,14 +16,19 @@ import (
 // run are identical to the buffered export of the same span sequence by
 // construction — the property verify.sh's streaming gate checks end to end.
 //
+// Each event line is encoded with strconv.Append* into one scratch buffer
+// the stream owns, then copied into the bufio.Writer, so once every proc
+// has its tid an event costs no allocation.
+//
 // A stream serializes one run at a time: StartRun opens the next Chrome
 // process and returns a streaming Recorder bound to it; the caller must
 // finish emitting through that recorder (and call EndRun) before starting
 // the next run. Concurrently executing traced runs must not share a stream.
 type ChromeStream struct {
 	bw    *bufio.Writer
-	first bool // no event line emitted yet (comma placement)
-	runs  int  // runs started; pid = run index + 1, as in WriteChrome
+	buf   []byte // scratch for the event line being encoded
+	first bool   // no event line emitted yet (comma placement)
+	runs  int    // runs started; pid = run index + 1, as in WriteChrome
 }
 
 // NewChromeStream starts a Chrome trace-event JSON document on w.
@@ -34,13 +38,34 @@ func NewChromeStream(w io.Writer) *ChromeStream {
 	return cs
 }
 
-// emit writes one event line with the document's comma discipline.
-func (cs *ChromeStream) emit(line string) {
+// event starts one event line in the scratch buffer with the document's
+// comma discipline: prefix (the opening brace through `"pid":`), the pid,
+// then the tid field.
+func (cs *ChromeStream) event(prefix string, pid, tid int) []byte {
+	b := cs.buf[:0]
 	if !cs.first {
-		cs.bw.WriteString(",\n")
+		b = append(b, ",\n"...)
 	}
 	cs.first = false
-	cs.bw.WriteString(line)
+	b = append(b, prefix...)
+	b = strconv.AppendInt(b, int64(pid), 10)
+	b = append(b, `,"tid":`...)
+	return strconv.AppendInt(b, int64(tid), 10)
+}
+
+// emit writes the finished event line and keeps its (possibly grown)
+// storage as the next line's scratch.
+func (cs *ChromeStream) emit(b []byte) {
+	cs.bw.Write(b)
+	cs.buf = b
+}
+
+// metadata emits a process_name (tid 0) or thread_name event.
+func (cs *ChromeStream) metadata(pid, tid int, kind, name string) {
+	b := cs.event(`{"ph":"M","pid":`, pid, tid)
+	b = append(append(b, `,"name":"`...), kind...)
+	b = appendQuote(append(b, `","args":{"name":`...), name)
+	cs.emit(append(b, "}}"...))
 }
 
 // StartRun opens the next run as a Chrome process named by label and
@@ -49,60 +74,74 @@ func (cs *ChromeStream) emit(line string) {
 // statistics (Recorder.Stats) are folded incrementally.
 func (cs *ChromeStream) StartRun(label string) *Recorder {
 	cs.runs++
-	cs.emit(fmt.Sprintf("{\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":%s}}",
-		cs.runs, quote(label)))
+	cs.metadata(cs.runs, 0, "process_name", label)
 	return &Recorder{stream: cs, pid: cs.runs, tids: make(map[string]int)}
 }
 
-// span serializes one span of rec's run, emitting the proc's thread-name
-// metadata on first appearance — the exact event sequence WriteChrome
-// produces for a buffered run.
-func (cs *ChromeStream) span(rec *Recorder, s Span) {
-	tid, ok := rec.tids[s.Proc]
+// tid returns proc's thread id in rec's run, emitting its thread-name
+// metadata on first appearance (tid = order of first appearance).
+func (cs *ChromeStream) tid(rec *Recorder, proc string) int {
+	tid, ok := rec.tids[proc]
 	if !ok {
 		tid = len(rec.tids) + 1
-		rec.tids[s.Proc] = tid
-		cs.emit(fmt.Sprintf("{\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":%s}}",
-			rec.pid, tid, quote(s.Proc)))
+		rec.tids[proc] = tid
+		cs.metadata(rec.pid, tid, "thread_name", proc)
 	}
-	args := ""
-	if s.Bytes != 0 {
-		args = fmt.Sprintf(",\"args\":{\"bytes\":%d}", s.Bytes)
-	}
-	if s.Attr != "" {
-		if args == "" {
-			args = fmt.Sprintf(",\"args\":{\"attr\":%s}", quote(s.Attr))
-		} else {
-			args = fmt.Sprintf(",\"args\":{\"bytes\":%d,\"attr\":%s}", s.Bytes, quote(s.Attr))
-		}
-	}
+	return tid
+}
+
+// span serializes one span of rec's run — the exact event sequence
+// WriteChrome produces for a buffered run. The cat field is quoted from its
+// two parts: strconv.Quote escapes rune by rune and the class part starts
+// with an ASCII comma, so quoting the component and appending ",class"
+// inside the closing quote equals quoting the concatenation.
+func (cs *ChromeStream) span(rec *Recorder, s Span) {
+	tid := cs.tid(rec, s.Proc)
+	prefix := `{"ph":"X","pid":`
 	if s.Dur == 0 {
-		cs.emit(fmt.Sprintf("{\"ph\":\"i\",\"pid\":%d,\"tid\":%d,\"ts\":%s,\"s\":\"t\",\"name\":%s,\"cat\":%s%s}",
-			rec.pid, tid, us(s.Start), quote(s.Name), quote(s.Component+","+s.Class.String()), args))
-		return
+		prefix = `{"ph":"i","pid":`
 	}
-	cs.emit(fmt.Sprintf("{\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"ts\":%s,\"dur\":%s,\"name\":%s,\"cat\":%s%s}",
-		rec.pid, tid, us(s.Start), us(s.Dur), quote(s.Name), quote(s.Component+","+s.Class.String()), args))
+	b := cs.event(prefix, rec.pid, tid)
+	b = AppendMicros(append(b, `,"ts":`...), s.Start)
+	if s.Dur == 0 {
+		b = append(b, `,"s":"t"`...)
+	} else {
+		b = AppendMicros(append(b, `,"dur":`...), s.Dur)
+	}
+	b = appendQuote(append(b, `,"name":`...), s.Name)
+	b = appendQuote(append(b, `,"cat":`...), s.Component)
+	b = append(b[:len(b)-1], ',')
+	b = append(append(b, s.Class.String()...), '"')
+	if s.Bytes != 0 || s.Attr != "" {
+		b = append(b, `,"args":{`...)
+		if s.Bytes != 0 {
+			b = strconv.AppendInt(append(b, `"bytes":`...), s.Bytes, 10)
+		}
+		if s.Attr != "" {
+			if s.Bytes != 0 {
+				b = append(b, ',')
+			}
+			b = appendQuote(append(b, `"attr":`...), s.Attr)
+		}
+		b = append(b, '}')
+	}
+	cs.emit(append(b, '}'))
 }
 
 // flow serializes one flow event of rec's run, reusing the run's thread
 // table (a flow anchored to a proc that never emitted a span still gets
 // its thread-name metadata first, exactly like span does).
 func (cs *ChromeStream) flow(rec *Recorder, f Flow) {
-	tid, ok := rec.tids[f.Proc]
-	if !ok {
-		tid = len(rec.tids) + 1
-		rec.tids[f.Proc] = tid
-		cs.emit(fmt.Sprintf("{\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":%s}}",
-			rec.pid, tid, quote(f.Proc)))
-	}
+	tid := cs.tid(rec, f.Proc)
+	prefix := `{"ph":"f","bp":"e","pid":`
 	if f.Start {
-		cs.emit(fmt.Sprintf("{\"ph\":\"s\",\"pid\":%d,\"tid\":%d,\"ts\":%s,\"id\":%d,\"name\":%s,\"cat\":\"provenance\"}",
-			rec.pid, tid, us(f.At), f.ID, quote(f.Name)))
-		return
+		prefix = `{"ph":"s","pid":`
 	}
-	cs.emit(fmt.Sprintf("{\"ph\":\"f\",\"bp\":\"e\",\"pid\":%d,\"tid\":%d,\"ts\":%s,\"id\":%d,\"name\":%s,\"cat\":\"provenance\"}",
-		rec.pid, tid, us(f.At), f.ID, quote(f.Name)))
+	b := cs.event(prefix, rec.pid, tid)
+	b = AppendMicros(append(b, `,"ts":`...), f.At)
+	b = strconv.AppendInt(append(b, `,"id":`...), f.ID, 10)
+	b = appendQuote(append(b, `,"name":`...), f.Name)
+	cs.emit(append(b, `,"cat":"provenance"}`...))
 }
 
 // EndRun closes rec's run, emitting its sampled counter tracks (nil for
@@ -111,8 +150,11 @@ func (cs *ChromeStream) flow(rec *Recorder, f Flow) {
 func (cs *ChromeStream) EndRun(rec *Recorder, counters []Counter) {
 	for _, c := range counters {
 		for i, t := range c.Times {
-			cs.emit(fmt.Sprintf("{\"ph\":\"C\",\"pid\":%d,\"tid\":0,\"ts\":%s,\"name\":%s,\"args\":{\"value\":%s}}",
-				rec.pid, us(t), quote(c.Name), strconv.FormatFloat(c.Values[i], 'g', -1, 64)))
+			b := cs.event(`{"ph":"C","pid":`, rec.pid, 0)
+			b = AppendMicros(append(b, `,"ts":`...), t)
+			b = appendQuote(append(b, `,"name":`...), c.Name)
+			b = strconv.AppendFloat(append(b, `,"args":{"value":`...), c.Values[i], 'g', -1, 64)
+			cs.emit(append(b, "}}"...))
 		}
 	}
 }

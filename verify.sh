@@ -170,11 +170,13 @@ echo "== critpath invisibility: recording is observation-only =="
 awk '/^== [a-z0-9]+-critpath /{skip=1; next} /^== /{skip=0} !skip' "$TRACETMP/crep1.txt" > "$TRACETMP/crep1_filtered.txt"
 cmp "$TRACETMP/out1.txt" "$TRACETMP/crep1_filtered.txt"
 
-echo "== zero-alloc gate: tracing/metrics/capacity-off allocation budget =="
+echo "== zero-alloc gate: tracing/metrics/capacity-off and artifact-export allocation budget =="
 # The span-tracer, metrics hooks, and capacity layer must be free when
-# disabled: the delta tests scale event/op counts ~100x and require zero
-# extra allocations (run without -race; race instrumentation allocates).
-go test -run 'ZeroAllocs' -count=1 ./internal/sim/ ./internal/cluster/ ./internal/metrics/ ./internal/capacity/
+# disabled, and the artifact exporters (Chrome trace, metrics CSV,
+# waterfall) must not allocate per event or row: the delta tests scale
+# event/op/row counts ~100x and require zero extra allocations (run
+# without -race; race instrumentation allocates).
+go test -run 'ZeroAllocs' -count=1 ./internal/sim/ ./internal/cluster/ ./internal/metrics/ ./internal/capacity/ ./internal/trace/ ./internal/critpath/
 
 echo "== bench smoke: go test -run=NONE -bench=. -benchtime=1x ./... =="
 # One iteration of every benchmark: catches benchmarks that panic or hang
