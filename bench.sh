@@ -3,8 +3,10 @@
 #
 # Runs the kernel microbenchmarks plus the end-to-end figure benchmarks the
 # perf acceptance criteria track, and merges ns/op, B/op, and allocs/op
-# into BENCH_PR10.json under the given label (default: "current"). With a
-# baseline label already present in the ledger, benchrec prints deltas.
+# into BENCH.json under the given label (default: "current"). The ledger
+# keeps every earlier record; labels of past PRs carry their PR prefix
+# (e.g. "pr10/current"). benchrec prints deltas of the new record against
+# the ledger's first.
 #
 # Usage:
 #   ./bench.sh            # record under label "current"
@@ -14,12 +16,12 @@ set -eu
 cd "$(dirname "$0")"
 
 LABEL="${1:-current}"
-LEDGER="BENCH_PR10.json"
+LEDGER="BENCH.json"
 
 go build -o /tmp/benchrec ./cmd/benchrec
 
 {
-	go test -run=NONE -bench='BenchmarkSleepEvents|BenchmarkSleepSwitch|BenchmarkManyProcs|BenchmarkWakeBlock|BenchmarkHeapChurn10k|BenchmarkResourceContention|BenchmarkSharded' \
+	go test -run=NONE -bench='BenchmarkSleepEvents|BenchmarkSleepSwitch|BenchmarkManyProcs|BenchmarkWakeBlock|BenchmarkHeapChurn10k|BenchmarkResourceContention' \
 		-benchtime=200000x ./internal/sim/
 	go test -run=NONE -bench='BenchmarkScaleEvents' -benchtime=100000x ./internal/sim/
 	go test -run=NONE -bench='BenchmarkCapacityEvict' -benchtime=200000x ./internal/capacity/

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	go test -run=NONE -bench=. -benchtime=2x ./... | benchrec -label pr2 -o BENCH_PR2.json
+//	go test -run=NONE -bench=. -benchtime=2x ./... | benchrec -label pr2 -o BENCH.json
 //
 // Each invocation appends (or replaces, when the label already exists) one
 // labeled record set. When the ledger holds two or more labels, the tool

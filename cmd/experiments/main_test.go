@@ -133,7 +133,6 @@ func TestFlagValidationUpFront(t *testing.T) {
 		{"-frames", "0", "fig5"},
 		{"-frames", "-1", "fig5"},
 		{"-j", "-2", "table1"},
-		{"-pdes-j", "-1", "table1"},
 		{"-headstart", "-5ms", "fig5"},
 		{"-budget", "-1", "calibrate"},
 	}

@@ -33,7 +33,6 @@ func main() {
 		singleNode  = flag.Bool("single-node", false, "collocate producers and consumers on one node")
 		reps        = flag.Int("reps", 1, "repetitions (distinct seeds)")
 		workers     = flag.Int("j", 0, "parallel workers for repetitions (0 = one per core); results are identical for any -j")
-		pdesJ       = flag.Int("pdes-j", 0, "intra-run event-queue shards (parallel discrete-event engine; 0 or 1 = serial); results are identical for any -pdes-j")
 		seed        = flag.Uint64("seed", 1, "base RNG seed")
 		jitter      = flag.Float64("jitter", 0.004, "relative std of per-frame MD compute time")
 		noise       = flag.Bool("lustre-noise", true, "background interference on Lustre OSTs")
@@ -68,7 +67,6 @@ func main() {
 		ComputeJitter: *jitter,
 		LustreNoise:   *noise,
 		RealFrames:    *real,
-		ShardWorkers:  *pdesJ,
 		KeepProfiles:  *profiles || *saveDir != "",
 	}
 	if *tracePath != "" {

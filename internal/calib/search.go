@@ -92,7 +92,6 @@ func searchXFSBeatsDYAD(o Options) (*experiments.Report, error) {
 		dyCfg := core.Config{
 			Backend: core.DYAD, Model: m, Pairs: 4, SingleNode: true,
 			Frames: o.Frames, Seed: o.Seed, ComputeJitter: 0.004,
-			ShardWorkers:    o.ShardWorkers,
 			ForceCoarseSync: sc.coarse,
 		}
 		if sc.ablated {
@@ -102,7 +101,6 @@ func searchXFSBeatsDYAD(o Options) (*experiments.Report, error) {
 		xfCfg := core.Config{
 			Backend: core.XFS, Model: m, Pairs: 4, SingleNode: true,
 			Frames: o.Frames, Seed: o.Seed, ComputeJitter: 0.004,
-			ShardWorkers: o.ShardWorkers,
 		}
 		cfgs = append(cfgs, dyCfg, xfCfg)
 	}
@@ -200,7 +198,7 @@ func searchFaultBreaks10x(o Options) (*experiments.Report, error) {
 
 	luCfg := core.Config{
 		Backend: core.Lustre, Model: jac, Pairs: pairs, Frames: o.Frames,
-		ComputeJitter: 0.004, ShardWorkers: o.ShardWorkers, LustreNoise: true,
+		ComputeJitter: 0.004, LustreNoise: true,
 	}
 	luCons, _, err := meanCons(luCfg)
 	if err != nil {
@@ -217,7 +215,7 @@ func searchFaultBreaks10x(o Options) (*experiments.Report, error) {
 		spec := base.Scale(rate)
 		cfg := core.Config{
 			Backend: core.DYAD, Model: jac, Pairs: pairs, Frames: o.Frames,
-			ComputeJitter: 0.004, ShardWorkers: o.ShardWorkers,
+			ComputeJitter:  0.004,
 			LustreFallback: true,
 		}
 		if rate > 0 {

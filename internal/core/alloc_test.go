@@ -8,8 +8,9 @@ import "testing"
 // (2 pairs x 16 frames), so a hook whose arguments are built even when no
 // recorder is installed fails here: the per-frame Sprintf and path
 // canonicalization that once leaked into recorder-off runs cost 256
-// (DYAD) and 448 (XFS) extra allocations on these runs. A change that
-// legitimately moves a count must move its line.
+// (DYAD) and 448 (XFS) extra allocations on these runs. The Lustre run
+// keeps its background noise processes on, as the paper's Lustre runs do.
+// A change that legitimately moves a count must move its line.
 func TestObservationOffRunAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; allocation budget checked without -race")
@@ -20,9 +21,10 @@ func TestObservationOffRunAllocBudget(t *testing.T) {
 	}{
 		{DYAD, 1871},
 		{XFS, 570},
+		{Lustre, 1082},
 	} {
 		cfg := Config{Backend: tc.backend, Model: tinyModel(), Frames: 16, Pairs: 2,
-			SingleNode: tc.backend == XFS, Seed: 1}
+			SingleNode: tc.backend == XFS, LustreNoise: tc.backend == Lustre, Seed: 1}
 		got := testing.AllocsPerRun(3, func() {
 			if _, err := Run(cfg); err != nil {
 				t.Fatal(err)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/trace"
@@ -31,29 +30,6 @@ func TestCritPathObservationOnly(t *testing.T) {
 		}
 		if rec.Crit == nil || plain.Crit != nil {
 			t.Errorf("%s: Crit presence wrong (rec=%v plain=%v)", b, rec.Crit != nil, plain.Crit != nil)
-		}
-	}
-}
-
-// The graph — and everything derived from it — is byte-identical at any
-// intra-run shard count and across pooled engine reuse.
-func TestCritPathDeterministicAcrossShardWorkers(t *testing.T) {
-	for _, b := range []Backend{DYAD, XFS, Lustre} {
-		cfg := critCfg(b)
-		serial, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", b, err)
-		}
-		cfg.ShardWorkers = 4
-		sharded, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", b, err)
-		}
-		if !reflect.DeepEqual(serial.Crit.Path, sharded.Crit.Path) {
-			t.Errorf("%s: critical path differs across shard workers", b)
-		}
-		if !reflect.DeepEqual(serial.Crit.Frames, sharded.Crit.Frames) {
-			t.Errorf("%s: frame lineages differ across shard workers", b)
 		}
 	}
 }

@@ -84,9 +84,7 @@ type Result struct {
 	// Events and Switches measure the simulator itself rather than the
 	// simulated system: events fired and coroutine switches into processes
 	// over the run (sim.Engine.Events, Switches). Filled at the end of the
-	// run; no report prints them. Switches depends on the engine mode
-	// (sleeps complete in place only on the serial engine); Events does
-	// not.
+	// run; no report prints them.
 	Events   int64
 	Switches int64
 }

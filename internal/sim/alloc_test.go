@@ -7,18 +7,13 @@ import (
 )
 
 // steadyAllocs measures the total heap allocations of one engine lifetime
-// delivering about `events` sleep events, with the given shard worker count
-// (<= 1 serial). With interleaved set, two processes sleep at alternating
-// phases so every sleep switches coroutines; otherwise one process sleeps
-// alone and (serially) every sleep completes in place.
-func steadyAllocs(t *testing.T, events, shards int, interleaved bool) float64 {
+// delivering about `events` sleep events. With interleaved set, two
+// processes sleep at alternating phases so every sleep switches coroutines;
+// otherwise one process sleeps alone and every sleep completes in place.
+func steadyAllocs(t *testing.T, events int, interleaved bool) float64 {
 	t.Helper()
 	return testing.AllocsPerRun(5, func() {
 		e := NewEngine(1)
-		if shards > 1 {
-			e.SetShardWorkers(shards)
-			e.SetLookahead(4 * time.Microsecond)
-		}
 		if interleaved {
 			spawnInterleaved(e, events/2)
 		} else {
@@ -60,27 +55,12 @@ func TestSteadyStateZeroAllocsWithTracingOff(t *testing.T) {
 		t.Skip("race instrumentation allocates; allocation budget checked without -race")
 	}
 	for _, interleaved := range []bool{false, true} {
-		base := steadyAllocs(t, 200, 1, interleaved)
-		long := steadyAllocs(t, 20_000, 1, interleaved)
+		base := steadyAllocs(t, 200, interleaved)
+		long := steadyAllocs(t, 20_000, interleaved)
 		if delta := long - base; delta > 0 {
 			t.Fatalf("steady state (interleaved=%v) allocates: %0.f allocs over 19800 extra events (base %.0f, long %.0f)",
 				interleaved, delta, base, long)
 		}
-	}
-}
-
-// The sharded engine inherits the same budget: once the per-shard heaps,
-// inboxes, and window merge heap have grown to the workload's high-water
-// mark, windows recycle them — 100x more events, zero extra allocations
-// (DESIGN.md §3g overhead budget).
-func TestShardedSteadyStateZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates; allocation budget checked without -race")
-	}
-	base := steadyAllocs(t, 200, 8, false)
-	long := steadyAllocs(t, 20_000, 8, false)
-	if delta := long - base; delta > 0 {
-		t.Fatalf("sharded steady state allocates: %0.f allocs over 19800 extra events (base %.0f, long %.0f)", delta, base, long)
 	}
 }
 

@@ -89,8 +89,7 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 
 // deliver switches to p and returns once p yields back (by sleeping,
 // blocking, or finishing). Events fire only on the goroutine that called
-// Run, in serial and sharded mode alike, so next is never called
-// concurrently.
+// Run, so next is never called concurrently.
 func (e *Engine) deliver(p *Proc) {
 	if p.done {
 		panic(fmt.Sprintf("sim: wake of finished process %q", p.name))
@@ -146,11 +145,11 @@ func (p *Proc) Rec() *trace.Recorder { return p.e.rec }
 // instant when d is zero) still run first.
 //
 // When the wake-up would be the next event to fire anyway — nothing is
-// pending before it or at the same instant — a serial run fires it in
-// place: the clock, sequence counter, event count, sampler, and watchdog
-// advance exactly as if the kernel had popped it, and Sleep returns without
-// a coroutine switch. Only the serial loop enables this: sharded runs, and
-// processes unwinding in finish (aborted ones included), always yield.
+// pending before it or at the same instant — the run fires it in place:
+// the clock, sequence counter, event count, sampler, and watchdog advance
+// exactly as if the kernel had popped it, and Sleep returns without a
+// coroutine switch. Only Run's event loop enables this: processes
+// unwinding in finish (aborted ones included) always yield.
 func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: process %q sleeping negative duration %v", p.name, d))
@@ -159,7 +158,7 @@ func (p *Proc) Sleep(d time.Duration) {
 	at := e.now + d
 	// Strictly before the queue head: an event pending at the same instant
 	// carries a smaller seq and must fire first. A wake-up that would trip
-	// the watchdog takes the switching path, so step trips it as usual.
+	// the watchdog takes the switching path, so Run trips it as usual.
 	if e.inPlace && e.pq.firstAt(at) && !e.overBudget(at) {
 		e.seq++
 		e.advance(at)

@@ -49,33 +49,27 @@ func spawnSleepers(e *Engine, n int) *int {
 var errTestDevice = errors.New("test: device failed")
 
 // A process that panics with an error keeps the chain: callers match the
-// wrapped sentinel with errors.Is on Run's error, in serial and sharded
-// mode, and the sleeping bystanders are unwound.
+// wrapped sentinel with errors.Is on Run's error, and the sleeping
+// bystanders are unwound.
 func TestProcPanicWrappedSentinel(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		before := runtime.NumGoroutine()
-		e := NewEngine(3)
-		if shards > 1 {
-			e.SetShardWorkers(shards)
-			e.SetLookahead(time.Millisecond)
-		}
-		unwound := spawnSleepers(e, 4)
-		e.Spawn("writer", func(p *Proc) {
-			p.Sleep(time.Millisecond)
-			panic(fmt.Errorf("write frame: %w", errTestDevice))
-		})
-		err := e.Run()
-		if !errors.Is(err, errTestDevice) {
-			t.Fatalf("shards=%d: err = %v, want it to wrap errTestDevice", shards, err)
-		}
-		if want := `sim: process "writer" failed: write frame: `; !strings.HasPrefix(err.Error(), want) {
-			t.Fatalf("shards=%d: err = %q, want prefix %q", shards, err, want)
-		}
-		if *unwound != 4 {
-			t.Fatalf("shards=%d: %d of 4 sleepers unwound", shards, *unwound)
-		}
-		expectNoLeakedProcs(t, before)
+	before := runtime.NumGoroutine()
+	e := NewEngine(3)
+	unwound := spawnSleepers(e, 4)
+	e.Spawn("writer", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		panic(fmt.Errorf("write frame: %w", errTestDevice))
+	})
+	err := e.Run()
+	if !errors.Is(err, errTestDevice) {
+		t.Fatalf("err = %v, want it to wrap errTestDevice", err)
 	}
+	if want := `sim: process "writer" failed: write frame: `; !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("err = %q, want prefix %q", err, want)
+	}
+	if *unwound != 4 {
+		t.Fatalf("%d of 4 sleepers unwound", *unwound)
+	}
+	expectNoLeakedProcs(t, before)
 }
 
 // A process whose first delivery dies with the queue never runs user code:

@@ -7,8 +7,7 @@ package sim
 //
 // Why two modes (DESIGN.md §3h): the heap pays O(log n) sift work per
 // operation, which is unbeatable below ~1k pending events but dominates the
-// kernel at fleet scale (ROADMAP item 2: thousands of nodes, millions of
-// pending timers). The ladder pays amortized O(1) per operation by spreading
+// kernel at fleet scale (thousands of nodes, millions of pending timers). The ladder pays amortized O(1) per operation by spreading
 // events into buckets so fine that ordering inside one bucket is nearly
 // free. Below the threshold the ladder's constant factors lose, so small
 // paper-sized runs keep the heap bit-for-bit.
@@ -17,8 +16,7 @@ package sim
 // (at, seq) — the same total order the heap yields — for ANY interleaving
 // of pushes and pops, including pushes of events earlier than everything
 // pending. Both modes therefore produce identical timelines, and the mode
-// switch is invisible to the engine, the shards, and the merge path (one
-// eventq implementation serves all three). queue_test.go locks the contract
+// switch is invisible to the engine. queue_test.go locks the contract
 // against a container/heap reference over tie-heavy randomized workloads.
 //
 // Structure of the ladder mode:
@@ -157,8 +155,7 @@ func (r *rung) bucketSpread(b int) (mn, mx Time) {
 }
 
 // eventq is the adaptive pending-event queue. The zero value is an empty
-// queue in heap mode. Not safe for concurrent use; in sharded runs each
-// shard owns one and the phase barriers hand ownership around (shard.go).
+// queue in heap mode. Not safe for concurrent use.
 type eventq struct {
 	heap   []event // heap-mode storage (donated to top on migration)
 	size   int     // pending events, both modes
@@ -232,18 +229,6 @@ func (q *eventq) pop() event {
 		q.bpos = 0
 	}
 	return ev
-}
-
-// peek returns the earliest pending event without removing it. The queue
-// must be non-empty. In ladder mode a peek may prime the bottom band.
-func (q *eventq) peek() event {
-	if !q.ladder {
-		return q.heap[0]
-	}
-	if q.bpos >= len(q.bottom) {
-		q.refill()
-	}
-	return q.bottom[q.bpos]
 }
 
 // firstAt reports whether an event at at would be the next one popped:
