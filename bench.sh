@@ -1,12 +1,12 @@
 #!/bin/sh
 # bench.sh — measured benchmark run recorded into a JSON ledger.
 #
-# Runs the kernel microbenchmarks plus the end-to-end figure benchmarks the
-# perf acceptance criteria track, and merges ns/op, B/op, and allocs/op
-# into BENCH.json under the given label (default: "current"). The ledger
-# keeps every earlier record; labels of past PRs carry their PR prefix
-# (e.g. "pr10/current"). benchrec prints deltas of the new record against
-# the ledger's first.
+# Runs the kernel and per-layer microbenchmarks and merges ns/op, B/op,
+# and allocs/op into BENCH.json under the given label (default:
+# "current"). End-to-end timings come from perfbench (BENCHMARK.json),
+# which takes repeated samples. The ledger keeps every earlier record;
+# labels of past PRs carry their PR prefix (e.g. "pr10/current"). benchrec
+# prints deltas of the new record against the ledger's first.
 #
 # Usage:
 #   ./bench.sh            # record under label "current"
@@ -31,7 +31,6 @@ go build -o /tmp/benchrec ./cmd/benchrec
 	go test -run=NONE -bench='BenchmarkWriteChrome' -benchtime=20x ./internal/trace/
 	go test -run=NONE -bench='BenchmarkWriteMetricsCSV' -benchtime=50x ./internal/metrics/
 	go test -run=NONE -bench='BenchmarkWriteWaterfall' -benchtime=200x ./internal/critpath/
-	go test -run=NONE -bench='BenchmarkFig5$|BenchmarkFig6$|BenchmarkWorkflowLargePairs$|BenchmarkRepeatPooled$' -benchtime=2x .
 } | tee /dev/stderr | /tmp/benchrec -label "$LABEL" -o "$LEDGER"
 
 echo "bench.sh: recorded under label \"$LABEL\" in $LEDGER"

@@ -108,11 +108,11 @@ func BenchmarkWakeBlock(b *testing.B) {
 
 // BenchmarkHeapChurn10k measures push/pop throughput with 10k+ events
 // resident in the queue: every proc keeps one pending timer, so each Sleep
-// churns a deep pending set (ladder mode at this depth). This is the
-// paper-scale regime (thousands of concurrent producer/consumer/server
-// processes). A warm run grows every queue structure and runtime pool to
-// its high-water mark before the timer, and the timed region asserts the
-// steady-state zero-allocation contract: 0 B/op.
+// churns a deep 4-ary heap, far deeper than any paper workload keeps
+// pending (a few hundred producer/consumer pairs). A warm run grows the
+// heap and every runtime pool to its high-water mark before the timer, and
+// the timed region asserts the steady-state zero-allocation contract:
+// 0 B/op.
 func BenchmarkHeapChurn10k(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine(1)
@@ -154,12 +154,12 @@ func BenchmarkHeapChurn10k(b *testing.B) {
 	}
 }
 
-// BenchmarkScaleEvents is the macro queue ladder: steady-state hold-model
-// churn (pop the earliest event, push its successor a random hold later) at
-// 1k, 100k, and 1M resident events, for the 4-ary heap, the ladder queue,
-// and the adaptive default. The heap-vs-ladder spread at each depth is what
-// fixed ladderThreshold (DESIGN.md §3h); BENCH.json record pr7/current
-// holds those measurements.
+// BenchmarkScaleEvents measures steady-state hold-model churn (pop the
+// earliest event, push its successor a random hold later) on the 4-ary heap
+// at 1k, 100k, and 1M resident events. No workload keeps more than a few
+// thousand events pending; the deep rows record what the heap's O(log n)
+// costs beyond that (DESIGN.md §3h). The q=heap suffix keeps the names of
+// BENCH.json's earlier records.
 func BenchmarkScaleEvents(b *testing.B) {
 	depths := []struct {
 		name    string
@@ -169,48 +169,38 @@ func BenchmarkScaleEvents(b *testing.B) {
 		{"100k", 100_000},
 		{"1M", 1_000_000},
 	}
-	modes := []struct {
-		name   string
-		thresh int
-	}{
-		{"heap", 1 << 30},
-		{"ladder", 1},
-		{"adaptive", 0},
-	}
 	for _, d := range depths {
-		for _, mode := range modes {
-			b.Run(fmt.Sprintf("pending=%s/q=%s", d.name, mode.name), func(b *testing.B) {
-				b.ReportAllocs()
-				q := eventq{thresh: mode.thresh}
-				q.grow(d.pending + 1)
-				rng := NewRNG(9)
-				hold := func() Time { return Time(1 + rng.Intn(1_000_000)) } // 1ns..1ms
-				var seq int64
-				push := func(at Time) {
-					q.push(event{at: at, seq: seq, proc: noProc})
-					seq++
-				}
-				for i := 0; i < d.pending; i++ {
-					push(hold())
-				}
-				// Churn to the steady-state high-water mark before timing:
-				// at least one full band-recycle of the queue, and no
-				// shorter than the measured run itself.
-				warm := 2 * d.pending
-				if warm < b.N {
-					warm = b.N
-				}
-				for i := 0; i < warm; i++ {
-					ev := q.pop()
-					push(ev.at + hold())
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					ev := q.pop()
-					push(ev.at + hold())
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("pending=%s/q=heap", d.name), func(b *testing.B) {
+			b.ReportAllocs()
+			var q eventq
+			q.grow(d.pending + 1)
+			rng := NewRNG(9)
+			hold := func() Time { return Time(1 + rng.Intn(1_000_000)) } // 1ns..1ms
+			var seq int64
+			push := func(at Time) {
+				q.push(event{at: at, seq: seq, proc: noProc})
+				seq++
+			}
+			for i := 0; i < d.pending; i++ {
+				push(hold())
+			}
+			// Churn to the steady state before timing: at least two full
+			// turnovers of the pending set, and no shorter than the
+			// measured run itself.
+			warm := 2 * d.pending
+			if warm < b.N {
+				warm = b.N
+			}
+			for i := 0; i < warm; i++ {
+				ev := q.pop()
+				push(ev.at + hold())
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ev := q.pop()
+				push(ev.at + hold())
+			}
+		})
 	}
 }
 

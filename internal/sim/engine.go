@@ -79,9 +79,8 @@ var ErrWatchdog = errors.New("sim: watchdog limit exceeded")
 type Engine struct {
 	now Time
 	seq int64
-	// pq holds the pending events by (at, seq): an adaptive queue that is
-	// the inlined 4-ary min-heap for paper-sized runs and migrates to an
-	// amortized-O(1) ladder queue past ~1k pending events (queue.go).
+	// pq holds the pending events by (at, seq): an inlined 4-ary min-heap
+	// (queue.go).
 	pq      eventq
 	procs   []*Proc
 	live    int // procs spawned and not yet finished
@@ -136,7 +135,7 @@ func (e *Engine) Prealloc(procs, events int) {
 }
 
 // Reset returns the engine to its initial state under a new seed, keeping
-// every backing array — the event queue and the process table — so
+// every backing array — the event heap and the process table — so
 // harnesses can reuse one engine across repetitions instead of reallocating
 // the rig per rep (core's pooled RunMany; DESIGN.md §3h). A reset engine is
 // observationally identical to NewEngine(seed): every run-visible field is
@@ -239,60 +238,6 @@ func (e *Engine) SetSampler(every Time, fn func(t Time)) {
 	if fn != nil {
 		e.sampleNext = (e.now/every + 1) * every
 	}
-}
-
-// heapPush inserts ev into the inlined 4-ary min-heap pq (ordered by
-// (at, seq)) and returns the updated slice. The heap is the small-N mode of
-// eventq (queue.go).
-func heapPush(pq []event, ev event) []event {
-	pq = append(pq, ev)
-	i := len(pq) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !pq[i].before(&pq[parent]) {
-			break
-		}
-		pq[i], pq[parent] = pq[parent], pq[i]
-		i = parent
-	}
-	return pq
-}
-
-// heapPop removes and returns the earliest event of pq.
-func heapPop(pq []event) (event, []event) {
-	top := pq[0]
-	n := len(pq) - 1
-	last := pq[n]
-	pq[n] = event{} // clear the vacated slot so callbacks are not pinned
-	pq = pq[:n]
-	if n == 0 {
-		return top, pq
-	}
-	// Sift last down from the root.
-	i := 0
-	for {
-		c := 4*i + 1
-		if c >= n {
-			break
-		}
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		min := c
-		for j := c + 1; j < end; j++ {
-			if pq[j].before(&pq[min]) {
-				min = j
-			}
-		}
-		if !pq[min].before(&last) {
-			break
-		}
-		pq[i] = pq[min]
-		i = min
-	}
-	pq[i] = last
-	return top, pq
 }
 
 // schedule enqueues fn to run at absolute virtual time at. Scheduling in

@@ -23,16 +23,12 @@ type diffRun struct {
 // selects the schedule-and-yield reference path for every sleep. The
 // workload mixes zero, tied, and distinct sleeps, shared resources, signal
 // wait/broadcast, After callbacks, mid-run spawns (from processes and from
-// callbacks), a sampler, and watchdog limits that may trip mid-run; about
-// half the seeds also force the event queue into ladder mode early.
+// callbacks), a sampler, and watchdog limits that may trip mid-run.
 func diffWorkload(seed uint64, forceSwitch bool) diffRun {
 	var out diffRun
 	g := NewRNG(seed)
 	e := NewEngine(seed)
 	e.forceSwitch = forceSwitch
-	if g.Intn(2) == 0 {
-		e.pq.thresh = 4 + g.Intn(12)
-	}
 
 	res := make([]*Resource, 1+g.Intn(3))
 	for i := range res {
@@ -166,7 +162,11 @@ func TestInPlaceSleepMatchesSwitchingPath(t *testing.T) {
 // lone sleeper's wake-up is always the next event, so after its start-up
 // delivery it never switches (unless forced); spawnInterleaved's two
 // sleepers (BenchmarkSleepSwitch, the zero-alloc test) must switch on
-// every sleep. The event count is the same either way.
+// every sleep. The event count is the same either way. The deep row keeps
+// 2048 long sleeps pending under the lone sleeper: firstAt compares
+// against the exact head however deep the queue is, so the lone sleeper
+// still never switches, and each long sleeper switches only at its
+// start-up and its one wake-up.
 func TestSleepSwitchCounts(t *testing.T) {
 	lone := func(e *Engine) {
 		e.Spawn("p", func(p *Proc) {
@@ -174,6 +174,14 @@ func TestSleepSwitchCounts(t *testing.T) {
 				p.Sleep(time.Microsecond)
 			}
 		})
+	}
+	deep := func(e *Engine) {
+		for i := 0; i < 2048; i++ {
+			e.Spawn(fmt.Sprintf("s%d", i), func(p *Proc) {
+				p.Sleep(time.Second + time.Duration(i))
+			})
+		}
+		lone(e)
 	}
 	for _, tc := range []struct {
 		name             string
@@ -185,6 +193,8 @@ func TestSleepSwitchCounts(t *testing.T) {
 		{"lone/forced", lone, true, 101, 101},
 		// 2 start-ups, 2 phase offsets, 200 sleeps.
 		{"interleaved", func(e *Engine) { spawnInterleaved(e, 100) }, false, 204, 204},
+		// 2049 start-ups, 2048 long sleeps, 100 short ones.
+		{"deep", deep, false, 4197, 4097},
 	} {
 		e := NewEngine(1)
 		e.forceSwitch = tc.force

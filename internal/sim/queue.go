@@ -1,190 +1,26 @@
 package sim
 
-// This file is the pending-event queue behind the kernel: an adaptive
-// two-mode structure that starts as the inlined 4-ary min-heap (exactly the
-// PR 2 kernel) and migrates to a ladder queue — a multi-resolution calendar
-// of time buckets — once the pending set grows past ladderThreshold events.
-//
-// Why two modes (DESIGN.md §3h): the heap pays O(log n) sift work per
-// operation, which is unbeatable below ~1k pending events but dominates the
-// kernel at fleet scale (thousands of nodes, millions of pending timers). The ladder pays amortized O(1) per operation by spreading
-// events into buckets so fine that ordering inside one bucket is nearly
-// free. Below the threshold the ladder's constant factors lose, so small
-// paper-sized runs keep the heap bit-for-bit.
-//
-// Ordering contract: pop returns pending events in exactly ascending
-// (at, seq) — the same total order the heap yields — for ANY interleaving
-// of pushes and pops, including pushes of events earlier than everything
-// pending. Both modes therefore produce identical timelines, and the mode
-// switch is invisible to the engine. queue_test.go locks the contract
-// against a container/heap reference over tie-heavy randomized workloads.
-//
-// Structure of the ladder mode:
-//
-//   - bottom: the earliest band of events, sorted ascending (at, seq) and
-//     consumed from the front (bpos). Pushes that land inside the bottom's
-//     range are sorted-inserted (binary search + copy) — they are rare and
-//     near the front, because the engine never schedules into the past.
-//   - rungs[0..nr-1]: calendars of time buckets, from coarse (rung 0, whose
-//     span abuts the top band) to fine (rung nr-1, covering the imminent
-//     range). A push lands in the first rung whose unconsumed span contains
-//     its time: one comparison per rung and one divide, O(1).
-//   - top: unsorted overflow for events at or beyond topStart (later than
-//     every bucketed event). When the rungs drain, the whole top band is
-//     spread into a fresh rung 0 sized to its time span.
-//
-// A refill moves the next non-empty bucket of the deepest rung into bottom
-// and sorts it; oversized buckets spanning more than one instant are first
-// spread across a new, finer rung (spawn), so sort cost per event stays
-// bounded. Every band keeps its backing arrays when it empties: after the
-// high-water mark the ladder allocates nothing (the steady-state zero-alloc
-// contract of DESIGN.md §3c), and bench_test.go's churn benchmarks assert
-// 0 B/op across both modes.
+// This file is the pending-event queue behind the kernel: an inlined 4-ary
+// min-heap ordered by (at, seq). Pop returns pending events in exactly
+// ascending (at, seq) for any interleaving of pushes and pops, which is what
+// makes equal-time events fire in schedule order; queue_test.go locks that
+// contract against a container/heap reference over tie-heavy randomized
+// workloads. Popped slots are zeroed so fired callbacks are not pinned, and
+// the backing array is kept across runs, so after its high-water mark the
+// queue allocates nothing (the steady-state zero-alloc contract of
+// DESIGN.md §3c).
 
-const (
-	// ladderThreshold is the pending-event count at which a queue migrates
-	// from heap to ladder mode. Measured on BenchmarkScaleEvents (see
-	// DESIGN.md §3h): the ladder wins clearly at 100k+ pending, is near par
-	// at ~1k, and loses below — 1024 keeps every paper-sized run on the
-	// exact PR 2 heap.
-	ladderThreshold = 1024
-	// maxRungs bounds spread recursion; a bucket that is still oversized at
-	// the deepest rung is sorted directly (correct, just not O(1) for that
-	// pathological band).
-	maxRungs = 8
-	// spawnThreshold is the bucket size above which a refill spreads the
-	// bucket across a finer rung instead of sorting it into bottom.
-	spawnThreshold = 48
-	// minBuckets / maxBuckets clamp the bucket count of a rung; the target
-	// is bucketTarget events per bucket for the observed band population.
-	minBuckets   = 16
-	maxBuckets   = 8192
-	bucketTarget = 8
-)
-
-// minTime is the topStart sentinel before the first transfer: every event
-// routes to the top band (virtual time is never negative).
-const minTime = Time(-1 << 62)
-
-// rung is one calendar: nb buckets of width-wide time slices starting at
-// start. Buckets before cur have been consumed (or spread) and are empty.
-//
-// Events live in one shared append-only slab per rung; each bucket is an
-// intrusive chain (head/tail plus next links) through it. Per-bucket slices
-// would ratchet capacity forever — every band spreads differently, so some
-// bucket always outgrows its history — while the slab's high-water mark is
-// simply the rung's maximum resident count, which the warm-up of a
-// steady-state run (or Prealloc) reaches once. That is what makes ladder
-// mode hold the kernel's zero-allocs-in-steady-state contract.
-type rung struct {
-	start Time
-	width Time
-	cur   int
-	nb    int
-	slab  []event // events of this band, insertion order
-	next  []int32 // chain link per slab slot (-1 ends a chain)
-	head  []int32 // first slab index per bucket (-1 = empty)
-	tail  []int32 // last slab index per bucket
-	cnt   []int32 // events per bucket
-}
-
-// curStart is the lower edge of the rung's unconsumed span.
-func (r *rung) curStart() Time { return r.start + Time(r.cur)*r.width }
-
-// reset re-arms the rung for a new band, reusing every backing array.
-func (r *rung) reset(start, width Time, nb int) {
-	r.start, r.width, r.cur, r.nb = start, width, 0, nb
-	r.slab = r.slab[:0]
-	r.next = r.next[:0]
-	for len(r.head) < nb {
-		r.head = append(r.head, -1)
-		r.tail = append(r.tail, -1)
-		r.cnt = append(r.cnt, 0)
-	}
-	for i := 0; i < nb; i++ {
-		r.head[i], r.tail[i], r.cnt[i] = -1, -1, 0
-	}
-}
-
-// place inserts ev into its bucket (clamped to the last: the last bucket of
-// a rung may span a larger range, and is re-spread on consumption if big).
-func (r *rung) place(ev event) {
-	b := int((ev.at - r.start) / r.width)
-	if b >= r.nb {
-		b = r.nb - 1
-	}
-	r.slab = append(r.slab, ev)
-	r.next = append(r.next, -1)
-	i := int32(len(r.slab) - 1)
-	if t := r.tail[b]; t >= 0 {
-		r.next[t] = i
-	} else {
-		r.head[b] = i
-	}
-	r.tail[b] = i
-	r.cnt[b]++
-}
-
-// takeBucket walks bucket b's chain, appending its events to dst in
-// insertion order and zeroing the vacated slab slots. The bucket is left
-// empty.
-func (r *rung) takeBucket(b int, dst []event) []event {
-	for i := r.head[b]; i >= 0; i = r.next[i] {
-		dst = append(dst, r.slab[i])
-		r.slab[i] = event{}
-	}
-	r.head[b], r.tail[b], r.cnt[b] = -1, -1, 0
-	return dst
-}
-
-// bucketSpread reports the earliest and latest event time of bucket b,
-// which must be non-empty.
-func (r *rung) bucketSpread(b int) (mn, mx Time) {
-	i := r.head[b]
-	mn, mx = r.slab[i].at, r.slab[i].at
-	for i = r.next[i]; i >= 0; i = r.next[i] {
-		at := r.slab[i].at
-		if at < mn {
-			mn = at
-		}
-		if at > mx {
-			mx = at
-		}
-	}
-	return mn, mx
-}
-
-// eventq is the adaptive pending-event queue. The zero value is an empty
-// queue in heap mode. Not safe for concurrent use.
+// eventq is the pending-event queue. The zero value is an empty queue. Not
+// safe for concurrent use.
 type eventq struct {
-	heap   []event // heap-mode storage (donated to top on migration)
-	size   int     // pending events, both modes
-	ladder bool    // ladder mode active (sticky until reset)
-	thresh int     // migration threshold; 0 = ladderThreshold (test hook)
-
-	bottom   []event // earliest band, ascending (at, seq)
-	bpos     int     // bottom consumption cursor
-	top      []event // unsorted overflow: events with at >= topStart
-	topStart Time
-	rungs    [maxRungs]rung
-	nr       int // active rungs; rungs[nr-1] is the finest/earliest
+	heap []event
 }
 
 // len returns the number of pending events.
-func (q *eventq) len() int { return q.size }
+func (q *eventq) len() int { return len(q.heap) }
 
 // grow reserves capacity for n simultaneously pending events (Prealloc).
-// The reserved array serves heap mode directly and becomes the top band on
-// migration, so the hint covers the churn depth of both modes.
 func (q *eventq) grow(n int) {
-	if q.ladder {
-		if n > cap(q.top) {
-			grown := make([]event, len(q.top), n)
-			copy(grown, q.top)
-			q.top = grown
-		}
-		return
-	}
 	if n > cap(q.heap) {
 		grown := make([]event, len(q.heap), n)
 		copy(grown, q.heap)
@@ -194,307 +30,70 @@ func (q *eventq) grow(n int) {
 
 // push inserts ev.
 func (q *eventq) push(ev event) {
-	q.size++
-	if !q.ladder {
-		q.heap = heapPush(q.heap, ev)
-		th := q.thresh
-		if th == 0 {
-			th = ladderThreshold
+	pq := append(q.heap, ev)
+	i := len(pq) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !pq[i].before(&pq[parent]) {
+			break
 		}
-		if len(q.heap) > th {
-			q.migrate()
-		}
-		return
+		pq[i], pq[parent] = pq[parent], pq[i]
+		i = parent
 	}
-	q.enqueue(ev)
+	q.heap = pq
 }
 
 // pop removes and returns the earliest pending event. The queue must be
 // non-empty.
 func (q *eventq) pop() event {
-	q.size--
-	if !q.ladder {
-		var top event
-		top, q.heap = heapPop(q.heap)
+	pq := q.heap
+	top := pq[0]
+	n := len(pq) - 1
+	last := pq[n]
+	pq[n] = event{} // clear the vacated slot so callbacks are not pinned
+	pq = pq[:n]
+	q.heap = pq
+	if n == 0 {
 		return top
 	}
-	if q.bpos >= len(q.bottom) {
-		q.refill()
+	// Sift last down from the root.
+	i := 0
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		end := c + 4
+		if end > n {
+			end = n
+		}
+		min := c
+		for j := c + 1; j < end; j++ {
+			if pq[j].before(&pq[min]) {
+				min = j
+			}
+		}
+		if !pq[min].before(&last) {
+			break
+		}
+		pq[i] = pq[min]
+		i = min
 	}
-	ev := q.bottom[q.bpos]
-	q.bottom[q.bpos] = event{} // do not pin fired callbacks
-	q.bpos++
-	if q.bpos == len(q.bottom) {
-		q.bottom = q.bottom[:0]
-		q.bpos = 0
-	}
-	return ev
+	pq[i] = last
+	return top
 }
 
 // firstAt reports whether an event at at would be the next one popped:
-// strictly before every pending event. It never restructures the queue, so
-// in ladder mode with the bottom band drained (the head not yet sorted out
-// of the rungs) it answers false rather than refill.
+// strictly before every pending event.
 func (q *eventq) firstAt(at Time) bool {
-	switch {
-	case q.size == 0:
-		return true
-	case !q.ladder:
-		return at < q.heap[0].at
-	case q.bpos < len(q.bottom):
-		return at < q.bottom[q.bpos].at
-	}
-	return false
+	return len(q.heap) == 0 || at < q.heap[0].at
 }
 
 // reset empties the queue, zeroes every slot (so no callback outlives the
-// run), keeps all backing arrays for reuse, and reverts to heap mode.
+// run), and keeps the backing array for reuse.
 func (q *eventq) reset() {
 	for i := range q.heap {
 		q.heap[i] = event{}
 	}
 	q.heap = q.heap[:0]
-	for i := range q.bottom {
-		q.bottom[i] = event{}
-	}
-	q.bottom = q.bottom[:0]
-	q.bpos = 0
-	for i := range q.top {
-		q.top[i] = event{}
-	}
-	q.top = q.top[:0]
-	for i := 0; i < q.nr; i++ {
-		r := &q.rungs[i]
-		for j := range r.slab {
-			r.slab[j] = event{}
-		}
-		r.slab = r.slab[:0]
-		r.next = r.next[:0]
-		for b := 0; b < r.nb; b++ {
-			r.head[b], r.tail[b], r.cnt[b] = -1, -1, 0
-		}
-	}
-	q.nr = 0
-	q.size = 0
-	if q.ladder {
-		q.ladder = false
-		// The migration donated the heap array to the top band; take the
-		// larger array back so the next run's heap phase keeps its capacity.
-		if cap(q.top) > cap(q.heap) {
-			q.heap, q.top = q.top[:0], q.heap[:0]
-		}
-	}
-}
-
-// migrate switches the queue from heap to ladder mode, donating the heap
-// array to the top band (heap order is irrelevant there: the band is sorted
-// as it is spread into rungs and bottom).
-func (q *eventq) migrate() {
-	q.ladder = true
-	q.heap, q.top = q.top[:0], q.heap
-	q.topStart = minTime
-	q.bpos = 0
-}
-
-// enqueue inserts ev in ladder mode: top band, first rung whose unconsumed
-// span contains it, or sorted into bottom.
-func (q *eventq) enqueue(ev event) {
-	if ev.at >= q.topStart {
-		q.top = append(q.top, ev)
-		return
-	}
-	for i := 0; i < q.nr; i++ {
-		r := &q.rungs[i]
-		if ev.at >= r.curStart() {
-			r.place(ev)
-			return
-		}
-	}
-	q.bottomInsert(ev)
-}
-
-// bottomInsert sorted-inserts ev into the pending run bottom[bpos:]. The
-// engine never schedules before the clock, so the insertion point is at or
-// near bpos; the binary search keeps pathological interleavings correct.
-func (q *eventq) bottomInsert(ev event) {
-	if len(q.bottom) == cap(q.bottom) && q.bpos > 0 {
-		// Compact the consumed prefix instead of growing the array.
-		n := copy(q.bottom, q.bottom[q.bpos:])
-		for i := n; i < len(q.bottom); i++ {
-			q.bottom[i] = event{}
-		}
-		q.bottom = q.bottom[:n]
-		q.bpos = 0
-	}
-	lo, hi := q.bpos, len(q.bottom)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if q.bottom[mid].before(&ev) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	q.bottom = append(q.bottom, event{})
-	copy(q.bottom[lo+1:], q.bottom[lo:])
-	q.bottom[lo] = ev
-}
-
-// refill loads the next band of events into bottom, sorted: the next
-// non-empty bucket of the deepest rung, spreading oversized multi-instant
-// buckets across a finer rung first, or — when every rung has drained —
-// the top band spread into a fresh rung 0. The queue must be non-empty.
-func (q *eventq) refill() {
-	q.bottom = q.bottom[:0]
-	q.bpos = 0
-	for {
-		if q.nr == 0 {
-			q.transfer()
-			continue
-		}
-		r := &q.rungs[q.nr-1]
-		for r.cur < r.nb && r.cnt[r.cur] == 0 {
-			r.cur++
-		}
-		if r.cur == r.nb {
-			// A rung is retired only once truly empty. Buckets behind the
-			// cursor cannot be repopulated (enqueue admits only
-			// at >= curStart(), which maps at or ahead of the cursor), so a
-			// non-zero count here means the no-hole invariant broke — fail
-			// loudly rather than drop events.
-			for b := 0; b < r.nb; b++ {
-				if r.cnt[b] != 0 {
-					panic("sim: eventq rung retired with pending events")
-				}
-			}
-			q.nr-- // arrays kept for the next band
-			continue
-		}
-		if int(r.cnt[r.cur]) > spawnThreshold && q.nr < maxRungs {
-			if mn, mx := r.bucketSpread(r.cur); mn != mx {
-				q.spawn(r)
-				continue
-			}
-		}
-		q.bottom = r.takeBucket(r.cur, q.bottom)
-		r.cur++
-		sortEvents(q.bottom)
-		return
-	}
-}
-
-// spawn spreads the current bucket of parent across a new, finer rung
-// covering the bucket's FULL nominal span [bucketStart, bucketStart+width),
-// ceil-divided so the child's last bucket edge is at or past the parent's.
-// Sizing the child to the events' observed span instead would leave a
-// coverage hole at the tail of the bucket: a later push inside the hole is
-// too late for the child's nominal range but too early for the parent
-// (whose cursor has moved past the bucket), and once the child's cursor
-// reaches the end the clamped placement lands BEHIND it — the event would
-// be silently dropped when the drained rung is retired. Full-span children
-// keep the no-hole invariant: every event admitted by enqueue's
-// at >= curStart() check maps to a bucket at or ahead of the cursor.
-func (q *eventq) spawn(parent *rung) {
-	start := parent.curStart()
-	nb := int(parent.cnt[parent.cur]) / bucketTarget
-	if nb < minBuckets {
-		nb = minBuckets
-	} else if nb > maxBuckets {
-		nb = maxBuckets
-	}
-	child := &q.rungs[q.nr]
-	q.nr++
-	child.reset(start, (parent.width-1)/Time(nb)+1, nb)
-	b := parent.cur
-	for i := parent.head[b]; i >= 0; i = parent.next[i] {
-		child.place(parent.slab[i])
-		parent.slab[i] = event{}
-	}
-	parent.head[b], parent.tail[b], parent.cnt[b] = -1, -1, 0
-	parent.cur++
-}
-
-// transfer spreads the whole top band into a fresh rung 0 sized to its time
-// span and advances topStart past it. Called only when no rungs remain; the
-// band is non-empty because the queue is.
-func (q *eventq) transfer() {
-	mn, mx := q.top[0].at, q.top[0].at
-	for i := 1; i < len(q.top); i++ {
-		at := q.top[i].at
-		if at < mn {
-			mn = at
-		}
-		if at > mx {
-			mx = at
-		}
-	}
-	nb := len(q.top) / bucketTarget
-	if nb < minBuckets {
-		nb = minBuckets
-	} else if nb > maxBuckets {
-		nb = maxBuckets
-	}
-	width := (mx-mn)/Time(nb) + 1
-	r := &q.rungs[0]
-	q.nr = 1
-	r.reset(mn, width, nb)
-	for _, ev := range q.top {
-		r.place(ev)
-	}
-	for i := range q.top {
-		q.top[i] = event{}
-	}
-	q.top = q.top[:0]
-	q.topStart = mn + Time(nb)*width
-}
-
-// sortEvents sorts a band ascending (at, seq) without allocating: insertion
-// sort for small bands, median-of-three quicksort above. (sort.Slice would
-// allocate its reflect-based swapper on every refill.)
-func sortEvents(a []event) {
-	for len(a) > 24 {
-		// Median-of-three pivot, moved to the end.
-		m := len(a) / 2
-		hi := len(a) - 1
-		if a[m].before(&a[0]) {
-			a[m], a[0] = a[0], a[m]
-		}
-		if a[hi].before(&a[0]) {
-			a[hi], a[0] = a[0], a[hi]
-		}
-		if a[hi].before(&a[m]) {
-			a[hi], a[m] = a[m], a[hi]
-		}
-		a[m], a[hi-1] = a[hi-1], a[m]
-		pivot := a[hi-1]
-		i, j := 0, hi-1
-		for {
-			for i++; a[i].before(&pivot); i++ {
-			}
-			for j--; pivot.before(&a[j]); j-- {
-			}
-			if i >= j {
-				break
-			}
-			a[i], a[j] = a[j], a[i]
-		}
-		a[i], a[hi-1] = a[hi-1], a[i]
-		// Recurse into the smaller half, loop on the larger.
-		if i < len(a)-i {
-			sortEvents(a[:i])
-			a = a[i+1:]
-		} else {
-			sortEvents(a[i+1:])
-			a = a[:i]
-		}
-	}
-	for i := 1; i < len(a); i++ {
-		ev := a[i]
-		j := i - 1
-		for j >= 0 && ev.before(&a[j]) {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = ev
-	}
 }

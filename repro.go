@@ -230,21 +230,6 @@ type FrameLineage = critpath.FrameLineage
 // (Result.Crit when Config.CritPath is set).
 type CritSummary = critpath.Summary
 
-// ExplainDiff is an edge-by-edge differential of two runs' critical paths:
-// every makespan-gap contribution attributed to a named graph edge.
-type ExplainDiff = critpath.ExplainDiff
-
-// DiffCritPaths diffs two extracted critical paths edge-by-edge.
-func DiffCritPaths(labelA string, a *CritPath, labelB string, b *CritPath) *ExplainDiff {
-	return critpath.Diff(labelA, a, labelB, b)
-}
-
-// WriteWaterfallCSV writes frame lineages as a long-format waterfall CSV
-// (one row per provenance hop). Byte-deterministic.
-func WriteWaterfallCSV(w io.Writer, label string, frames []FrameLineage) error {
-	return critpath.WriteWaterfall(w, []critpath.LineageSet{{Label: label, Frames: frames}})
-}
-
 // CritPathCollector accumulates critical-path summaries and blame rows
 // across experiments; attach one via ExperimentOptions.CritPath.
 type CritPathCollector = experiments.CritCollector
@@ -324,10 +309,6 @@ func DefaultCalibSpace() CalibSpace { return calib.DefaultSpace() }
 func Calibrate(space CalibSpace, o CalibOptions) (*CalibFit, error) {
 	return calib.Calibrate(space, o)
 }
-
-// CalibTargets returns the paper-number fixture the objective fits
-// against (full adds Fig 7).
-func CalibTargets(full bool) []CalibTarget { return calib.Targets(full) }
 
 // CalibGoals lists the scenario-search predicates.
 func CalibGoals() []CalibGoal { return calib.Goals() }

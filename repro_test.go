@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/critpath"
 )
 
 func TestFacadeRunAndAggregate(t *testing.T) {
@@ -52,14 +54,14 @@ func TestFacadeCritPath(t *testing.T) {
 
 	// Size-only sweeps (RealFrames=false above) degrade gracefully: full
 	// provenance, no payload synthesis, no panic. Diff the DYAD path
-	// against an XFS run of the same workload through the facade types.
+	// against an XFS run of the same workload.
 	xcfg := cfg
 	xcfg.Backend = XFS
 	xres, err := Run(xcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := DiffCritPaths("dyad", res.Crit.Path, "xfs", xres.Crit.Path)
+	d := critpath.Diff("dyad", res.Crit.Path, "xfs", xres.Crit.Path)
 	if d.Gap <= 0 {
 		t.Fatalf("XFS should be slower: gap %v", d.Gap)
 	}
@@ -68,7 +70,7 @@ func TestFacadeCritPath(t *testing.T) {
 	}
 
 	var wf bytes.Buffer
-	if err := WriteWaterfallCSV(&wf, "dyad", res.Crit.Frames); err != nil {
+	if err := critpath.WriteWaterfall(&wf, []critpath.LineageSet{{Label: "dyad", Frames: res.Crit.Frames}}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(wf.String(), "run,frame,hop,proc,start_us,dur_us,bytes\n") {
