@@ -202,6 +202,52 @@ func TestQueueWideHorizon(t *testing.T) {
 	}
 }
 
+// TestHeapMatchesContainerHeap drives an engine's own pending-event heap
+// and a container/heap reference with the same randomized push/pop
+// interleaving and demands identical pop order — including the seq
+// tie-break on heavily duplicated timestamps.
+func TestHeapMatchesContainerHeap(t *testing.T) {
+	rng := NewRNG(42)
+	e := NewEngine(0)
+	ref := &refHeap{}
+	seq := int64(0)
+
+	const ops = 20_000
+	for i := 0; i < ops; i++ {
+		if rng.Intn(3) != 0 || e.pq.len() == 0 {
+			// Tie-heavy times: only 64 distinct timestamps across 20k
+			// events, so ordering is usually decided by seq alone.
+			at := Time(rng.Intn(64)) * time.Millisecond
+			ev := event{at: at, seq: seq, proc: noProc}
+			seq++
+			e.pq.push(ev)
+			heap.Push(ref, ev)
+		} else {
+			got := e.pq.pop()
+			want := heap.Pop(ref).(event)
+			if got.at != want.at || got.seq != want.seq {
+				t.Fatalf("op %d: pop = (at=%v seq=%d), reference = (at=%v seq=%d)",
+					i, got.at, got.seq, want.at, want.seq)
+			}
+		}
+		if e.pq.len() != ref.Len() {
+			t.Fatalf("op %d: size %d vs reference %d", i, e.pq.len(), ref.Len())
+		}
+	}
+	// Drain: the tail must come out in exactly reference order too.
+	for ref.Len() > 0 {
+		got := e.pq.pop()
+		want := heap.Pop(ref).(event)
+		if got.at != want.at || got.seq != want.seq {
+			t.Fatalf("drain: pop = (at=%v seq=%d), reference = (at=%v seq=%d)",
+				got.at, got.seq, want.at, want.seq)
+		}
+	}
+	if e.pq.len() != 0 {
+		t.Fatalf("drained heap still holds %d events", e.pq.len())
+	}
+}
+
 // TestHeapPopZeroesVacatedSlots checks the anti-retention invariant: slots
 // past the live heap must be zeroed so popped events don't pin closures.
 func TestHeapPopZeroesVacatedSlots(t *testing.T) {
