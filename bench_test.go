@@ -109,9 +109,10 @@ func BenchmarkWorkflowLargePairs(b *testing.B) {
 	}
 }
 
-// BenchmarkRepeatPooled measures RunMany over 8 repetitions on one worker —
-// the pooled-reuse hot path: after the first repetition, engine, cluster,
-// and event-queue state recycle across reps instead of being rebuilt.
+// BenchmarkRepeatPooled measures RunMany over 8 repetitions on one worker,
+// each repetition on a freshly built engine and cluster. The name predates
+// the removal of per-worker rig pooling and is kept for the BENCH.json
+// ledger.
 func BenchmarkRepeatPooled(b *testing.B) {
 	b.ReportAllocs()
 	jac, err := ModelByName("JAC")

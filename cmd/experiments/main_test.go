@@ -281,6 +281,27 @@ func TestCritpathStreamsAndArtifacts(t *testing.T) {
 	}
 }
 
+// A streaming flag on an experiment it does not reach is refused: exit 1,
+// nothing on stdout, one stderr line naming the experiment and the
+// buffered flag to use.
+func TestStreamingRefusedWhereNotWired(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct{ flag, id, buffered string }{
+		{"-trace-stream", "faultsweep", "-trace"},
+		{"-metrics-stream", "capsweep", "-metrics"},
+	} {
+		code, out, errOut := capture(t, "-quick", "-q", "-reps", "1", "-frames", "4",
+			tc.flag, filepath.Join(dir, "artifact"), tc.id)
+		if code != 1 || out != "" {
+			t.Errorf("%s %s: exit %d stdout %q, want exit 1 and no stdout", tc.flag, tc.id, code, out)
+		}
+		if strings.Count(errOut, "\n") != 1 || !strings.Contains(errOut, tc.id) ||
+			!strings.Contains(errOut, "use "+tc.buffered+"\n") {
+			t.Errorf("%s %s: stderr %q, want one line naming %s and %s", tc.flag, tc.id, errOut, tc.id, tc.buffered)
+		}
+	}
+}
+
 func min(a, b int) int {
 	if a < b {
 		return a

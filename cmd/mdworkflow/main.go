@@ -39,7 +39,7 @@ func main() {
 		real        = flag.Bool("real-frames", false, "encode/verify genuine frame payloads")
 		profiles    = flag.Bool("profiles", false, "print the ensembled Thicket call trees")
 		saveDir     = flag.String("save-profiles", "", "write per-process Caliper profiles (JSON) into this directory for cmd/thicketql")
-		tracePath   = flag.String("trace", "", "write a per-event execution timeline to this file")
+		tracePath   = flag.String("trace", "", "write a per-frame produced/consumed timeline to this file, one repetition after another")
 	)
 	flag.Parse()
 
@@ -68,14 +68,7 @@ func main() {
 		LustreNoise:   *noise,
 		RealFrames:    *real,
 		KeepProfiles:  *profiles || *saveDir != "",
-	}
-	if *tracePath != "" {
-		tf, err := os.Create(*tracePath)
-		if err != nil {
-			fatal(err)
-		}
-		defer tf.Close()
-		cfg.Trace = tf
+		RecordSpans:   *tracePath != "",
 	}
 	if err := cfg.Validate(); err != nil {
 		fatal(err)
@@ -91,6 +84,11 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("ran %d repetition(s) in %.2fs\n", *reps, time.Since(start).Seconds())
+	if *tracePath != "" {
+		if err := os.WriteFile(*tracePath, frameTimeline(results), 0o666); err != nil {
+			fatal(err)
+		}
+	}
 	agg := repro.Aggregated(results)
 	fmt.Printf("\n%-24s %-14s %-14s\n", "", "mean", "std")
 	printLine := func(name string, s stats.Summary) {
@@ -117,6 +115,33 @@ func main() {
 		}
 		fmt.Printf("\nprofiles written to %s (analyze with cmd/thicketql)\n", *saveDir)
 	}
+}
+
+// frameTimeline renders the frame_produced and frame_consumed spans of
+// each repetition, in seed order, as one line per frame event:
+//
+//	0.123456 producer000    produced frame 3 (1048576 bytes)
+//
+// The frame number is the span's ordinal on its process.
+func frameTimeline(results []*repro.Result) []byte {
+	var b []byte
+	for _, res := range results {
+		ordinal := map[string]int{}
+		for _, s := range res.Spans {
+			var verb string
+			switch s.Name {
+			case "frame_produced":
+				verb = "produced"
+			case "frame_consumed":
+				verb = "consumed"
+			default:
+				continue
+			}
+			b = fmt.Appendf(b, "%12.6f %-14s %s frame %d (%d bytes)\n", s.Start.Seconds(), s.Proc, verb, ordinal[s.Proc], s.Bytes)
+			ordinal[s.Proc]++
+		}
+	}
+	return b
 }
 
 // saveProfiles writes every repetition's per-process profiles as JSON

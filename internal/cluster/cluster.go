@@ -312,37 +312,6 @@ func New(e *sim.Engine, spec Spec) *Cluster {
 // Engine returns the simulation engine the cluster runs on.
 func (c *Cluster) Engine() *sim.Engine { return c.e }
 
-// Reset returns the cluster to its just-built state: traffic counters,
-// fault-injection state (degradation factors, link outages, failed
-// devices), and every device resource are cleared, while the node and
-// resource structures — including their queue backing arrays — are kept.
-// The pooled-reuse contract (DESIGN.md §3h): a reset cluster on a reset
-// engine is observationally identical to cluster.New with the same spec.
-// Call only between runs, after the engine itself has been reset.
-func (c *Cluster) Reset() {
-	c.BytesOnWire = 0
-	c.Transfers = 0
-	c.LinkStalls = 0
-	c.LinkStallTime = 0
-	for _, n := range c.nodes {
-		n.nicDegrade = 0
-		n.linkDownUntil = 0
-		n.stallTime = 0
-		n.nic.Reset()
-		s := n.SSD
-		s.degrade = 0
-		s.failed = false
-		s.BytesRead = 0
-		s.BytesWritten = 0
-		s.Reads = 0
-		s.Writes = 0
-		s.FailedOps = 0
-		s.readLat = nil
-		s.writeLat = nil
-		s.dev.Reset()
-	}
-}
-
 // Node returns node i.
 func (c *Cluster) Node(i int) *Node {
 	if i < 0 || i >= len(c.nodes) {

@@ -28,7 +28,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/capacity"
@@ -166,10 +165,6 @@ type Config struct {
 	// so a livelocked recovery loop aborts instead of hanging the batch.
 	MaxEvents      int64
 	MaxVirtualTime time.Duration
-	// Trace, when non-nil, receives one line per workflow event
-	// (frame produced/consumed) with virtual timestamps — an execution
-	// timeline for debugging runs.
-	Trace io.Writer
 	// RecordSpans enables the virtual-time span tracer: every modeled
 	// operation (SSD I/O, transfers, RPCs, KVS ops, journal commits,
 	// recovery waits) emits a span, surfaced on Result.Spans/SpanStats.

@@ -34,14 +34,14 @@ func TestCritPathObservationOnly(t *testing.T) {
 	}
 }
 
-// Pooled engine reuse (RunMany recycling) must not leak one run's recorder
-// into the next: only the recording repetition carries a summary, and its
-// measurements match the rest of the batch.
+// One run's recorder must not leak into the next run of a serial batch:
+// only the recording repetition carries a summary, and its measurements
+// match the same run unrecorded.
 func TestCritPathPooledReuseInvisible(t *testing.T) {
 	cfgs := RepeatConfigs(critCfg(DYAD), 3)
 	cfgs[1].CritPath = false
 	cfgs[2].CritPath = false
-	results, err := RunMany(cfgs, 1) // one worker: reps 2,3 reuse rep 1's engine
+	results, err := RunMany(cfgs, 1) // one worker runs all three reps
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestCritPathPooledReuseInvisible(t *testing.T) {
 	}
 	if results[0].Makespan != results[1].Makespan {
 		// Reps share a seed schedule shifted per rep; compare rep 1's
-		// recorded measurements against an unpooled unrecorded run instead.
+		// recorded measurements against a standalone unrecorded run instead.
 		cfg := cfgs[0]
 		cfg.CritPath = false
 		plain, err := Run(cfg)
@@ -59,7 +59,7 @@ func TestCritPathPooledReuseInvisible(t *testing.T) {
 			t.Fatal(err)
 		}
 		if results[0].Makespan != plain.Makespan {
-			t.Errorf("recorded pooled rep diverges from plain run: %v vs %v", results[0].Makespan, plain.Makespan)
+			t.Errorf("recorded batch rep diverges from plain run: %v vs %v", results[0].Makespan, plain.Makespan)
 		}
 	}
 }

@@ -122,10 +122,9 @@ func TestConsumerHeadStartValidation(t *testing.T) {
 	}
 }
 
-// SpecTune must change the hardware the run sees, and a pooled batch that
-// alternates tuned and untuned configs must match standalone runs — the
-// pool compares the tuned spec, so a tuned run can never inherit an
-// untuned cluster (or vice versa).
+// SpecTune must change the hardware the run sees, and a serial batch that
+// alternates tuned and untuned configs must match standalone runs: a tuned
+// run never inherits an untuned cluster (or vice versa).
 func TestSpecTunePooledBatchMatchesStandalone(t *testing.T) {
 	slowRead := func(sp *cluster.Spec) {
 		if err := sp.SetParam(cluster.ParamSSDReadLat, 600e-6); err != nil {
@@ -158,7 +157,7 @@ func TestSpecTunePooledBatchMatchesStandalone(t *testing.T) {
 			want = wantTuned
 		}
 		if res.Consumer != want.Consumer || res.Producer != want.Producer || res.Makespan != want.Makespan {
-			t.Errorf("pooled run %d drifted from standalone result", i)
+			t.Errorf("batch run %d drifted from standalone result", i)
 		}
 	}
 }

@@ -6,10 +6,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/cluster"
-	"repro/internal/metrics"
-	"repro/internal/sim"
 )
 
 // This file is the parallel execution layer for workflow runs. Every run is
@@ -43,9 +39,8 @@ func RunMany(cfgs []Config, workers int) ([]*Result, error) {
 	results := make([]*Result, len(cfgs))
 	errs := make([]error, len(cfgs))
 	if workers <= 1 {
-		pool := &runPool{}
 		for i, cfg := range cfgs {
-			results[i], errs[i] = runIndexed(i, cfg, pool)
+			results[i], errs[i] = runIndexed(i, cfg)
 		}
 		return results, errors.Join(errs...)
 	}
@@ -55,13 +50,12 @@ func RunMany(cfgs []Config, workers int) ([]*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pool := &runPool{}
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(cfgs) {
 					return
 				}
-				results[i], errs[i] = runIndexed(i, cfgs[i], pool)
+				results[i], errs[i] = runIndexed(i, cfgs[i])
 			}
 		}()
 	}
@@ -69,98 +63,16 @@ func RunMany(cfgs []Config, workers int) ([]*Result, error) {
 	return results, errors.Join(errs...)
 }
 
-// runPool recycles the expensive parts of a rig — engine (event queue,
-// process table, RNG streams), cluster (nodes, device resources, queue
-// backing arrays), and metrics registry (series sample vectors) — across
-// the runs one worker executes. Batch repetitions share shape, so after the
-// first run a repetition allocates O(1) rig state instead of rebuilding the
-// whole kernel (DESIGN.md §3h). Pooling is strictly per worker (never
-// shared), and reuse is observationally invisible: Engine.Reset,
-// Cluster.Reset, and Registry.Reset restore the exact just-built state, so
-// pooled batches stay byte-identical to unpooled ones.
-//
-// Hand-out is one-shot: take clears the stored state, and retire is called
-// only after a successful collect — a run that fails or panics mid-flight
-// can never leak a dirty engine into the next run.
-type runPool struct {
-	eng    *sim.Engine
-	cl     *cluster.Cluster
-	clSpec cluster.Spec
-	reg    *metrics.Registry
-}
-
-// take hands out pooled state compatible with cfg, or nils where the pool
-// cannot help. The engine is always reusable; the cluster additionally
-// needs the same hardware spec (Spec is a value type, so == compares the
-// full profile) and always rides on its own engine. The registry is handed out only to runs that will stream it to a
-// MetricsSink — buffered runs retain their registry on Result.Metrics, so
-// those registries never enter the pool in the first place. Nil-safe.
-func (pl *runPool) take(cfg Config, spec cluster.Spec) (*sim.Engine, *cluster.Cluster, *metrics.Registry) {
-	if pl == nil {
-		return nil, nil, nil
-	}
-	var eng *sim.Engine
-	var cl *cluster.Cluster
-	var reg *metrics.Registry
-	if pl.eng != nil {
-		eng = pl.eng
-		eng.Reset(cfg.Seed)
-		if pl.cl != nil && pl.clSpec == spec {
-			cl = pl.cl
-			cl.Reset()
-		}
-	}
-	if cfg.MetricsInterval > 0 && cfg.MetricsSink != nil {
-		reg = pl.reg
-	}
-	pl.eng, pl.cl, pl.reg = nil, nil, nil
-	return eng, cl, reg
-}
-
-// retire stores a successfully collected rig's state for the next take.
-// The registry is kept only when the run streamed it (otherwise the Result
-// retains it and it must not be reused).
-func (pl *runPool) retire(r *rig) {
-	if pl == nil {
-		return
-	}
-	pl.eng = r.eng
-	pl.cl = r.cl
-	pl.clSpec = r.cl.Spec
-	if r.reg != nil && r.cfg.MetricsSink != nil {
-		pl.reg = r.reg
-	}
-}
-
-// runPooled is Run with an optional per-worker state pool.
-func runPooled(cfg Config, pool *runPool) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	r := newRig(cfg, pool)
-	r.spawnAll()
-	if err := r.eng.Run(); err != nil {
-		return nil, fmt.Errorf("core: %s: %w", cfg.Label(), err)
-	}
-	res, err := r.collect()
-	if err != nil {
-		return nil, err
-	}
-	pool.retire(r)
-	return res, nil
-}
-
 // runIndexed runs one batch entry, tagging errors with the batch index and
 // converting panics into errors so one broken run cannot take down the
-// workers of an otherwise healthy batch. A failed or panicked run retires
-// nothing, so the pool stays clean.
-func runIndexed(i int, cfg Config, pool *runPool) (res *Result, err error) {
+// workers of an otherwise healthy batch.
+func runIndexed(i int, cfg Config) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, fmt.Errorf("core: run %d (%s): panic: %v", i, cfg.Label(), r)
 		}
 	}()
-	res, err = runPooled(cfg, pool)
+	res, err = Run(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: run %d: %w", i, err)
 	}

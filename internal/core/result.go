@@ -159,7 +159,7 @@ func (r *rig) collect() (*Result, error) {
 	}
 	if r.reg != nil && r.cfg.MetricsSink == nil {
 		// A streamed registry's samples are already on disk and its series
-		// are pool-recycled, so only buffered runs retain the registry.
+		// hold none, so only buffered runs retain the registry.
 		res.Metrics = r.reg
 	}
 	if r.rec != nil && r.rec.Streaming() {

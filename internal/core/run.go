@@ -24,9 +24,19 @@ import (
 // one MDS plus eight OSTs on dedicated server nodes.
 const lustreServers = 9
 
-// Run executes one workflow run and returns its measurements.
+// Run executes one workflow run and returns its measurements. Every run
+// builds its own engine, cluster, and metrics registry, so no state can
+// carry from one run into the next.
 func Run(cfg Config) (*Result, error) {
-	return runPooled(cfg, nil)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	r := newRig(cfg)
+	r.spawnAll()
+	if err := r.eng.Run(); err != nil {
+		return nil, fmt.Errorf("core: %s: %w", cfg.Label(), err)
+	}
+	return r.collect()
 }
 
 // rig wires one run: engine, cluster, backend, processes, measurements.
@@ -85,12 +95,8 @@ type cfgResolved struct {
 	frameSize int64
 }
 
-// newRig wires one run, drawing recyclable state (engine, cluster, metrics
-// registry) from pool when compatible state is available — nil pool or no
-// match builds everything fresh. Reuse is observationally invisible: the
-// Reset contracts restore exact just-built state, so a pooled run is
-// byte-identical to an unpooled one.
-func newRig(cfg Config, pool *runPool) *rig {
+// newRig wires one run on a fresh engine and cluster.
+func newRig(cfg Config) *rig {
 	rc := cfgResolved{
 		Config:    cfg,
 		stride:    cfg.EffectiveStride(),
@@ -106,35 +112,20 @@ func newRig(cfg Config, pool *runPool) *rig {
 	// the same resource.
 	spec.QueueHint = 2 * MaxProcsPerNode
 	if cfg.SpecTune != nil {
-		// Calibration hook. Must run before pool.take: the pool hands out a
-		// recycled cluster only when the (already tuned) spec matches by
-		// value, so a tuned run can never inherit an untuned cluster.
-		cfg.SpecTune(&spec)
+		cfg.SpecTune(&spec) // calibration hook
 	}
-	eng, cl, reg := pool.take(cfg, spec)
-	if eng == nil {
-		eng = sim.NewEngine(cfg.Seed)
-	}
+	eng := sim.NewEngine(cfg.Seed)
 	// Pre-size the kernel for the run's known process population (one
 	// producer + one consumer per pair, plus Lustre noise processes) and a
 	// comfortable event-queue floor, so steady state never grows a slice.
-	// Idempotent on a reused engine (its arrays are already at least this
-	// large).
 	procs := 2 * cfg.Pairs
 	if cfg.Backend == Lustre && cfg.LustreNoise {
 		procs += lustreServers - 1 // one noise process per OST
 	}
 	eng.Prealloc(procs, procs+8)
-	if cl == nil {
-		cl = cluster.New(eng, spec)
-	}
-	r := &rig{cfg: rc, eng: eng, cl: cl, reg: reg}
+	cl := cluster.New(eng, spec)
+	r := &rig{cfg: rc, eng: eng, cl: cl}
 
-	if cfg.Trace != nil {
-		eng.SetTracer(func(t time.Duration, proc, msg string) {
-			fmt.Fprintf(cfg.Trace, "%12.6f %-14s %s\n", t.Seconds(), proc, msg)
-		})
-	}
 	if cfg.RecordSpans {
 		r.rec = trace.NewRecorder()
 		eng.SetRecorder(r.rec)
@@ -213,13 +204,7 @@ func newRig(cfg Config, pool *runPool) *rig {
 	}
 
 	if cfg.MetricsInterval > 0 {
-		if r.reg != nil {
-			// Pooled registry (streaming runs only): retire the old series
-			// into its free pools and rebuild, reusing sample storage.
-			r.reg.Reset(cfg.MetricsInterval)
-		} else {
-			r.reg = metrics.New(cfg.MetricsInterval)
-		}
+		r.reg = metrics.New(cfg.MetricsInterval)
 		r.registerMetrics()
 		if cfg.MetricsSink != nil {
 			// Streaming sink: every series is registered by now, so the run's
@@ -409,7 +394,6 @@ func (r *rig) runProducer(p *sim.Proc, pair int, gate *pairGate) {
 		r.framesProduced++
 		p.Rec().Emit(trace.Span{Proc: p.Name(), Component: "workflow", Name: "frame_produced",
 			Start: p.Now(), Bytes: data.Size(), Attr: path})
-		p.Tracef("produced frame %d (%d bytes)", f, data.Size())
 	}
 	r.prodProfiles[pair] = ann.Profile()
 }
@@ -482,7 +466,6 @@ func (r *rig) runConsumer(p *sim.Proc, pair int, gate *pairGate) {
 		p.CritHop(path, "consume", readStart, data.Size())
 		p.Rec().Emit(trace.Span{Proc: p.Name(), Component: "workflow", Name: "frame_consumed",
 			Start: p.Now(), Bytes: data.Size()})
-		p.Tracef("consumed frame %d (%d bytes)", f, data.Size())
 		r.framesRead++
 		r.bytesRead += data.Size()
 		if r.cfg.RealFrames {

@@ -1,80 +1,85 @@
 package core
 
 import (
-	"bufio"
-	"bytes"
-	"fmt"
-	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/trace"
 )
 
-// The execution trace must show, for every pair and frame, consumption
+// frameSpans runs cfg with span recording on and returns its
+// frame_produced and frame_consumed spans in emission order: the per-frame
+// timeline cmd/mdworkflow -trace renders.
+func frameSpans(t *testing.T, cfg Config) []trace.Span {
+	t.Helper()
+	cfg.RecordSpans = true
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", cfg.Backend, err)
+	}
+	var out []trace.Span
+	for _, s := range res.Spans {
+		if s.Name == "frame_produced" || s.Name == "frame_consumed" {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// The frame spans must show, for every pair and frame, consumption
 // strictly after production — the fundamental causality invariant of the
 // data-movement study — on every backend.
 func TestTraceOrderingInvariant(t *testing.T) {
-	m := tinyModel()
 	for _, b := range []Backend{DYAD, XFS, Lustre} {
-		cfg := Config{Backend: b, Model: m, Frames: 8, Pairs: 2, Seed: 7}
-		if b == XFS {
-			cfg.SingleNode = true
+		cfg := Config{Backend: b, Model: tinyModel(), Frames: 8, Pairs: 2, Seed: 7, SingleNode: b == XFS}
+		spans := frameSpans(t, cfg)
+		type key struct {
+			pair  string
+			frame int
 		}
-		var buf bytes.Buffer
-		cfg.Trace = &buf
-		if _, err := Run(cfg); err != nil {
-			t.Fatalf("%s: %v", b, err)
-		}
-
-		produced := map[string]float64{} // "pair/frame" -> time
-		sc := bufio.NewScanner(&buf)
-		lines := 0
-		for sc.Scan() {
-			fields := strings.Fields(sc.Text())
-			if len(fields) < 5 {
+		produced := map[key]time.Duration{}
+		next := map[string]int{} // proc -> ordinal of its next frame span
+		for _, s := range spans {
+			k := key{strings.TrimPrefix(strings.TrimPrefix(s.Proc, "producer"), "consumer"), next[s.Proc]}
+			next[s.Proc]++
+			if s.Name == "frame_produced" {
+				produced[k] = s.Start
 				continue
 			}
-			lines++
-			ts, err := strconv.ParseFloat(fields[0], 64)
-			if err != nil {
-				t.Fatalf("%s: bad trace timestamp %q", b, fields[0])
+			pt, ok := produced[k]
+			if !ok {
+				t.Fatalf("%s: frame %v consumed with no production event", b, k)
 			}
-			proc, verb, frameNo := fields[1], fields[2], fields[4]
-			pair := strings.TrimPrefix(strings.TrimPrefix(proc, "producer"), "consumer")
-			key := pair + "/" + frameNo
-			switch verb {
-			case "produced":
-				produced[key] = ts
-			case "consumed":
-				pt, ok := produced[key]
-				if !ok {
-					t.Fatalf("%s: frame %s consumed with no production event", b, key)
-				}
-				if ts <= pt {
-					t.Fatalf("%s: frame %s consumed at %v, produced at %v", b, key, ts, pt)
-				}
+			if s.Start <= pt {
+				t.Fatalf("%s: frame %v consumed at %v, produced at %v", b, k, s.Start, pt)
 			}
 		}
-		wantLines := 2 * cfg.Pairs * cfg.Frames
-		if lines != wantLines {
-			t.Fatalf("%s: %d trace lines, want %d", b, lines, wantLines)
+		if want := 2 * cfg.Pairs * cfg.Frames; len(spans) != want {
+			t.Fatalf("%s: %d frame spans, want %d", b, len(spans), want)
 		}
 	}
 }
 
-// Trace output is keyed per frame; spot-check the format so external
-// consumers can rely on it.
+// Each frame span carries what the -trace timeline prints — the process
+// name, the event kind and the frame's byte count — on every backend.
 func TestTraceFormat(t *testing.T) {
 	m := tinyModel()
-	var buf bytes.Buffer
-	cfg := Config{Backend: DYAD, Model: m, Frames: 1, Pairs: 1, Seed: 1, Trace: &buf}
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"producer000", "consumer000", "produced frame 0", "consumed frame 0",
-		fmt.Sprintf("(%d bytes)", m.FrameBytes())} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("trace missing %q:\n%s", want, out)
+	for _, b := range []Backend{DYAD, XFS, Lustre} {
+		cfg := Config{Backend: b, Model: m, Frames: 1, Pairs: 1, Seed: 1, SingleNode: b == XFS}
+		spans := frameSpans(t, cfg)
+		if len(spans) != 2 {
+			t.Fatalf("%s: %d frame spans, want 2: %+v", b, len(spans), spans)
+		}
+		for i, want := range []trace.Span{
+			{Proc: "producer000", Component: "workflow", Name: "frame_produced", Bytes: m.FrameBytes(), Attr: pairPath(0, 0)},
+			{Proc: "consumer000", Component: "workflow", Name: "frame_consumed", Bytes: m.FrameBytes()},
+		} {
+			got := spans[i]
+			want.Start = got.Start
+			if got != want {
+				t.Errorf("%s: frame span %d = %+v, want %+v", b, i, got, want)
+			}
 		}
 	}
 }

@@ -7,6 +7,7 @@ package experiments
 
 import (
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -56,13 +57,15 @@ type Options struct {
 	// large-N sweeps, with bytes identical to buffered collection followed
 	// by trace.WriteChrome. Mutually exclusive with Trace (breakdown
 	// reports need retained spans and are skipped when streaming).
+	// Experiments that do not wire it return ErrNotStreamed.
 	TraceStream *trace.ChromeStream
 	// MetricsStream, when non-nil, meters one repetition of each
 	// configuration like Metrics but streams samples into a CSV sink as
 	// they are taken — bounded-memory metering, bytes identical to buffered
 	// collection followed by metrics.WriteCSV. Mutually exclusive with
 	// Metrics (the dashboard and Prometheus exporters need retained
-	// samples and are unavailable when streaming).
+	// samples and are unavailable when streaming). Experiments that meter
+	// under Metrics but do not wire it return ErrNotStreamed.
 	MetricsStream *MetricsStream
 	// CritPath, when non-nil, records the causal dependency graph on one
 	// repetition of each configuration and collects the extracted critical
@@ -275,6 +278,25 @@ func runAgg(cfg core.Config, o Options) (core.Aggregate, error) {
 		o.CritPath.Add(cfg.Label(), results)
 	}
 	return core.Aggregated(results), nil
+}
+
+// ErrNotStreamed reports a streaming sink (Options.TraceStream or
+// Options.MetricsStream) handed to an experiment whose runs it does not
+// reach. Such a sink would record nothing, so the experiment refuses to
+// run; the buffered Trace or Metrics collector records it.
+var ErrNotStreamed = errors.New("streaming sink not wired")
+
+// refuseStreams returns an ErrNotStreamed error naming experiment id and
+// the buffered flag to use when o carries TraceStream, or MetricsStream
+// and metered is set (the experiment meters under buffered Metrics).
+func refuseStreams(id string, o Options, metered bool) error {
+	switch {
+	case o.TraceStream != nil:
+		return fmt.Errorf("%s records nothing under -trace-stream (%w); use -trace", id, ErrNotStreamed)
+	case metered && o.MetricsStream != nil:
+		return fmt.Errorf("%s records nothing under -metrics-stream (%w); use -metrics", id, ErrNotStreamed)
+	}
+	return nil
 }
 
 // fmtMS renders a seconds summary as mean±std.

@@ -74,7 +74,7 @@ func FuzzMetricsCSVRow(f *testing.F) {
 			t.Fatalf("WriteCSV diverged from the reference formatting:\n got %q\nwant %q", got.String(), want)
 		}
 
-		got.Reset()
+		got = bytes.Buffer{}
 		sink := NewCSVSink(&got)
 		for range runs {
 			r := New(time.Second)
@@ -123,9 +123,8 @@ func TestCSVRowsZeroAllocs(t *testing.T) {
 	sinkAllocs := func(n int) float64 {
 		times := csvTimes(n)
 		sink := NewCSVSink(io.Discard)
-		r := New(250 * time.Millisecond)
 		return testing.AllocsPerRun(5, func() {
-			r.Reset(250 * time.Millisecond)
+			r := New(250 * time.Millisecond)
 			gaugeRun(r, values, nil)
 			sink.StartRun("a", r)
 			for _, t := range times {

@@ -167,12 +167,6 @@ type Registry struct {
 	// sink, when bound by CSVSink.StartRun, streams one CSV row per sample
 	// boundary instead of growing the per-series Samples vectors.
 	sink *CSVSink
-
-	// spool/hpool hold the structs retired by Reset, handed back out in
-	// registration order so a pooled run's re-registration wave reuses them
-	// (Samples capacity included) instead of allocating.
-	spool []*Series
-	hpool []*Histogram
 }
 
 // New creates a registry sampling at the given fixed virtual interval.
@@ -191,38 +185,9 @@ func (r *Registry) Interval() time.Duration {
 	return r.interval
 }
 
-// Reset returns the registry to its just-created state under a (possibly
-// new) interval, retiring every registered series and histogram into the
-// reuse pools: the next registration wave — the same deterministic wiring
-// code — gets the retired structs back in order, Samples capacity intact,
-// so pooled runs (core's RunMany rig pool, DESIGN.md §3h) re-register
-// without reallocating. Only registries the caller owns exclusively may be
-// reset; a registry retained by a run's Result must never be pooled.
-func (r *Registry) Reset(interval time.Duration) {
-	if interval <= 0 {
-		panic("metrics: nonpositive sample interval")
-	}
-	r.interval = interval
-	r.times = r.times[:0]
-	r.sink = nil
-	r.spool = append(r.spool[:0], r.series...)
-	r.series = r.series[:0]
-	r.hpool = append(r.hpool[:0], r.hists...)
-	r.hists = r.hists[:0]
-}
-
-// add registers s, reusing a pool-retired struct when one is available at
-// this registration position.
+// add registers s.
 func (r *Registry) add(s Series) *Series {
-	if n := len(r.series); n < len(r.spool) {
-		p := r.spool[n]
-		s.Samples = p.Samples[:0]
-		*p = s
-		r.series = append(r.series, p)
-		return p
-	}
-	p := new(Series)
-	*p = s
+	p := &s
 	r.series = append(r.series, p)
 	return p
 }
@@ -282,13 +247,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	var h *Histogram
-	if n := len(r.hists); n < len(r.hpool) {
-		h = r.hpool[n]
-		*h = Histogram{Name: name}
-	} else {
-		h = &Histogram{Name: name}
-	}
+	h := &Histogram{Name: name}
 	r.hists = append(r.hists, h)
 	return h
 }

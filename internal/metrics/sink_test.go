@@ -30,7 +30,7 @@ func drive(r *Registry, h *Histogram, total, busy, inFlight *float64, n int) {
 
 // A sink-attached registry must write byte-for-byte the CSV that buffered
 // sampling plus WriteCSV produces for the same probe history — across
-// multiple runs on one sink, including a Registry.Reset recycle in between.
+// multiple runs on one sink, each on a fresh registry.
 func TestCSVSinkMatchesWriteCSV(t *testing.T) {
 	const boundaries = 5
 
@@ -48,18 +48,17 @@ func TestCSVSinkMatchesWriteCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Streamed: one registry recycled through Reset between the two runs.
+	// Streamed: a fresh registry per run, all on one sink.
 	var got bytes.Buffer
 	sink := NewCSVSink(&got)
-	r := New(time.Second)
+	var streamed []*Registry
 	for run := 0; run < 2; run++ {
-		if run > 0 {
-			r.Reset(time.Second)
-		}
+		r := New(time.Second)
 		var total, busy, inFlight float64
 		h := registerSinkSeries(r, &total, &busy, &inFlight)
 		sink.StartRun("sinkrun", r)
 		drive(r, h, &total, &busy, &inFlight, boundaries)
+		streamed = append(streamed, r)
 	}
 	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
@@ -68,51 +67,14 @@ func TestCSVSinkMatchesWriteCSV(t *testing.T) {
 		t.Errorf("sink CSV diverged from WriteCSV:\n got:\n%s\nwant:\n%s", got.String(), want.String())
 	}
 	// A sink-attached registry retains no sample vectors.
-	if r.Len() != 0 {
-		t.Errorf("sink-attached registry buffered %d sample rows", r.Len())
-	}
-	for _, s := range r.Series() {
-		if len(s.Samples) != 0 {
-			t.Errorf("series %q buffered %d samples in sink mode", s.Name, len(s.Samples))
+	for _, r := range streamed {
+		if r.Len() != 0 {
+			t.Errorf("sink-attached registry buffered %d sample rows", r.Len())
 		}
-	}
-}
-
-// Reset must recycle series and histogram storage: re-registering the same
-// layout after a Reset hands back the same handles (by registration order)
-// with their sample capacity intact, and the rebuilt registry samples
-// exactly like a fresh one.
-func TestRegistryResetRecyclesSeries(t *testing.T) {
-	r := New(time.Second)
-	var total, busy, inFlight float64
-	h1 := registerSinkSeries(r, &total, &busy, &inFlight)
-	first := append([]*Series(nil), r.Series()...)
-	drive(r, h1, &total, &busy, &inFlight, 3)
-
-	r.Reset(2 * time.Second)
-	if r.Interval() != 2*time.Second {
-		t.Errorf("Reset interval = %v, want 2s", r.Interval())
-	}
-	if r.Len() != 0 || len(r.Series()) != 0 || len(r.Histograms()) != 0 {
-		t.Error("Reset left series or samples behind")
-	}
-	h2 := registerSinkSeries(r, &total, &busy, &inFlight)
-	second := r.Series()
-	if len(second) != len(first) {
-		t.Fatalf("re-registration built %d series, want %d", len(second), len(first))
-	}
-	for i := range second {
-		if second[i] != first[i] {
-			t.Errorf("series %d not recycled (got %p, want %p)", i, second[i], first[i])
+		for _, s := range r.Series() {
+			if len(s.Samples) != 0 {
+				t.Errorf("series %q buffered %d samples in sink mode", s.Name, len(s.Samples))
+			}
 		}
-		if len(second[i].Samples) != 0 {
-			t.Errorf("recycled series %q kept %d samples", second[i].Name, len(second[i].Samples))
-		}
-	}
-	if h2 != h1 {
-		t.Errorf("histogram not recycled")
-	}
-	if h2.Count != 0 {
-		t.Errorf("recycled histogram kept %d observations", h2.Count)
 	}
 }

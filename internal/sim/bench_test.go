@@ -109,15 +109,14 @@ func BenchmarkWakeBlock(b *testing.B) {
 // BenchmarkHeapChurn10k measures push/pop throughput with 10k+ events
 // resident in the queue: every proc keeps one pending timer, so each Sleep
 // churns a deep 4-ary heap, far deeper than any paper workload keeps
-// pending (a few hundred producer/consumer pairs). A warm run grows the
-// heap and every runtime pool to its high-water mark before the timer, and
-// the timed region asserts the steady-state zero-allocation contract:
-// 0 B/op.
+// pending (a few hundred producer/consumer pairs). A warm run on a
+// throwaway engine brings every runtime pool to its high-water mark, the
+// measured engine's heap is presized with Prealloc, and the timed region
+// asserts the steady-state zero-allocation contract: 0 B/op.
 func BenchmarkHeapChurn10k(b *testing.B) {
 	b.ReportAllocs()
-	e := NewEngine(1)
 	const procs = 10_000
-	spawn := func(steps int) {
+	spawn := func(e *Engine, steps int) {
 		for i := 0; i < procs; i++ {
 			e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
 				for s := 0; s < steps; s++ {
@@ -129,17 +128,18 @@ func BenchmarkHeapChurn10k(b *testing.B) {
 		}
 	}
 	steps := b.N/procs + 1
-	// Warm run: the identical workload (same seed, same length), so every
-	// queue structure and runtime pool reaches the exact high-water mark of
-	// the measured run, which then allocates nothing.
-	e.Prealloc(procs, procs+1)
-	spawn(steps)
-	if err := e.Run(); err != nil {
+	// Warm run on a throwaway engine: the identical workload (same seed,
+	// same length), so every runtime pool reaches the exact high-water mark
+	// of the measured run, which then allocates nothing.
+	warm := NewEngine(1)
+	warm.Prealloc(procs, procs+1)
+	spawn(warm, steps)
+	if err := warm.Run(); err != nil {
 		b.Fatal(err)
 	}
-	e.Reset(1)
+	e := NewEngine(1)
 	e.Prealloc(procs, procs+1)
-	spawn(steps)
+	spawn(e, steps)
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	b.ResetTimer()

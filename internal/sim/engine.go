@@ -86,7 +86,6 @@ type Engine struct {
 	live    int // procs spawned and not yet finished
 	seed    uint64
 	failure error
-	tracer  func(t Time, procName, msg string)
 	rec     *trace.Recorder
 	cp      *critpath.Recorder
 	curProc int32 // proc currently holding the baton, noProc in the kernel
@@ -122,8 +121,8 @@ func NewEngine(seed uint64) *Engine {
 
 // Prealloc reserves capacity for an expected workload: procs processes and
 // events simultaneously pending events. Harnesses that know their ensemble
-// size call it once per run so repetition sweeps never re-grow the process
-// table or the event heap. Undersized (or unset) hints only cost the usual
+// size call it before spawning so the run never re-grows the process table
+// or the event heap. Undersized (or unset) hints only cost the usual
 // amortized growth; they never limit the run.
 func (e *Engine) Prealloc(procs, events int) {
 	if procs > cap(e.procs) {
@@ -134,45 +133,11 @@ func (e *Engine) Prealloc(procs, events int) {
 	e.pq.grow(events)
 }
 
-// Reset returns the engine to its initial state under a new seed, keeping
-// every backing array — the event heap and the process table — so
-// harnesses can reuse one engine across repetitions instead of reallocating
-// the rig per rep (core's pooled RunMany; DESIGN.md §3h). A reset engine is
-// observationally identical to NewEngine(seed): every run-visible field is
-// cleared, and per-process random streams derive only from the seed and the
-// spawn order. Call between Runs only.
-func (e *Engine) Reset(seed uint64) {
-	if e.live > 0 {
-		panic("sim: Reset while processes are live")
-	}
-	e.now = 0
-	e.seq = 0
-	e.fired = 0
-	e.switches = 0
-	for i := range e.procs {
-		e.procs[i] = nil
-	}
-	e.procs = e.procs[:0]
-	e.seed = seed
-	e.failure = nil
-	e.tracer = nil
-	e.rec = nil
-	e.cp = nil
-	e.curProc = noProc
-	e.maxEvents, e.maxTime = 0, 0
-	e.sampleEvery, e.sampleNext, e.sampleFn = 0, 0, nil
-	e.pq.reset()
-}
-
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
 // Seed returns the seed the engine was created with.
 func (e *Engine) Seed() uint64 { return e.seed }
-
-// SetTracer installs a callback invoked by Proc.Tracef. A nil tracer (the
-// default) makes tracing free.
-func (e *Engine) SetTracer(fn func(t Time, procName, msg string)) { e.tracer = fn }
 
 // SetRecorder installs a span recorder: modeled operations emit virtual-time
 // spans through it (see Proc.Rec and package trace). A nil recorder (the
@@ -368,10 +333,10 @@ func (e *Engine) finish() error {
 		e.now = ev.at
 		e.fire(&ev)
 	}
-	// Keep the backing arrays for engines that run again; clear residual
-	// events (present only after a failure) so their callbacks are freed.
-	e.pq.reset()
 	if e.failure != nil {
+		// Drop the residual events so a caller holding the engine does not
+		// pin their callbacks.
+		e.pq = eventq{}
 		return e.failure
 	}
 	if len(stranded) > 0 {

@@ -6,9 +6,8 @@ package sim
 // makes equal-time events fire in schedule order; queue_test.go locks that
 // contract against a container/heap reference over tie-heavy randomized
 // workloads. Popped slots are zeroed so fired callbacks are not pinned, and
-// the backing array is kept across runs, so after its high-water mark the
-// queue allocates nothing (the steady-state zero-alloc contract of
-// DESIGN.md §3c).
+// the backing array is kept, so after its high-water mark the queue
+// allocates nothing (the steady-state zero-alloc contract of DESIGN.md §3c).
 
 // eventq is the pending-event queue. The zero value is an empty queue. Not
 // safe for concurrent use.
@@ -87,13 +86,4 @@ func (q *eventq) pop() event {
 // strictly before every pending event.
 func (q *eventq) firstAt(at Time) bool {
 	return len(q.heap) == 0 || at < q.heap[0].at
-}
-
-// reset empties the queue, zeroes every slot (so no callback outlives the
-// run), and keeps the backing array for reuse.
-func (q *eventq) reset() {
-	for i := range q.heap {
-		q.heap[i] = event{}
-	}
-	q.heap = q.heap[:0]
 }

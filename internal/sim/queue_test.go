@@ -266,58 +266,29 @@ func TestHeapPopZeroesVacatedSlots(t *testing.T) {
 	}
 }
 
-// TestQueueResetClearsSlots resets a half-drained queue and verifies no
-// backing slot still pins a callback: reset must clear the live events that
-// pop never vacated.
+// TestQueueResetClearsSlots fails a run with half its callbacks still
+// pending and verifies the engine's queue no longer pins any of them: a
+// failed run drops the residual events its loop never popped.
 func TestQueueResetClearsSlots(t *testing.T) {
 	marker := func() {}
-	var q eventq
+	e := NewEngine(3)
 	rng := NewRNG(3)
 	for i := 0; i < 5000; i++ {
-		q.push(event{at: Time(rng.Intn(64)) * time.Millisecond, seq: int64(i), proc: noProc, fn: marker})
+		e.After(Time(1+rng.Intn(64))*time.Millisecond, marker)
 	}
-	for i := 0; i < 2500; i++ {
-		q.pop()
+	e.Spawn("failer", func(p *Proc) {
+		p.Sleep(32 * time.Millisecond)
+		panic("boom")
+	})
+	if err := e.Run(); err == nil {
+		t.Fatal("run with a panicking process succeeded")
 	}
-	q.reset()
-	if q.len() != 0 {
-		t.Fatalf("reset queue: len=%d, want empty", q.len())
+	if e.pq.len() != 0 {
+		t.Fatalf("failed run left %d events queued", e.pq.len())
 	}
-	for i, ev := range q.heap[:cap(q.heap)] {
+	for i, ev := range e.pq.heap[:cap(e.pq.heap)] {
 		if ev.fn != nil {
 			t.Fatalf("heap slot %d still holds a closure reference", i)
 		}
-	}
-}
-
-// TestQueueReuseAfterReset reuses one queue across reset cycles and demands
-// identical pop sequences — the invariant pooled engines rely on
-// (Engine.Reset keeps the queue's backing array).
-func TestQueueReuseAfterReset(t *testing.T) {
-	var q eventq
-	var first []event
-	for cycle := 0; cycle < 3; cycle++ {
-		rng := NewRNG(11)
-		var got []event
-		for i := 0; i < 1000; i++ {
-			q.push(event{at: Time(rng.Intn(32)) * time.Millisecond, seq: int64(i), proc: noProc})
-		}
-		for q.len() > 0 {
-			got = append(got, q.pop())
-		}
-		if cycle == 0 {
-			first = got
-			continue
-		}
-		if len(got) != len(first) {
-			t.Fatalf("cycle %d popped %d events, first cycle %d", cycle, len(got), len(first))
-		}
-		for i := range got {
-			if got[i].at != first[i].at || got[i].seq != first[i].seq {
-				t.Fatalf("cycle %d pop %d = (at=%v seq=%d), first cycle = (at=%v seq=%d)",
-					cycle, i, got[i].at, got[i].seq, first[i].at, first[i].seq)
-			}
-		}
-		q.reset()
 	}
 }

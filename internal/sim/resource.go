@@ -60,24 +60,6 @@ func (r *Resource) QueueLen() int { return len(r.queue) - r.qhead }
 // still allocate nothing.
 func (r *Resource) SetQueueHint(n int) { r.queueHint = n }
 
-// Reset returns the resource to its just-created state at the engine's
-// current instant, keeping the wait queue's backing array and the queue
-// hint — the pooled-reuse contract (Engine.Reset, DESIGN.md §3h): a reset
-// resource on a reset engine is observationally identical to a fresh
-// NewResource. Call only between runs; any waiters a failed run left
-// behind are dropped.
-func (r *Resource) Reset() {
-	for i := range r.queue {
-		r.queue[i] = resWaiter{}
-	}
-	r.queue = r.queue[:0]
-	r.qhead = 0
-	r.inUse = 0
-	r.busyUnitNanos = 0
-	r.lastChange = r.e.Now()
-	r.createdAt = r.e.Now()
-}
-
 func (r *Resource) account() {
 	now := r.e.Now()
 	r.busyUnitNanos += int64(r.inUse) * int64(now-r.lastChange)

@@ -269,6 +269,11 @@ func RunExperiment(id string, o ExperimentOptions) (*ExperimentReport, error) {
 	return e.Run(o)
 }
 
+// ErrNotStreamed is returned, wrapped, by RunExperiment when
+// ExperimentOptions carries a streaming sink the experiment's runs do not
+// reach; use the buffered Trace or Metrics collector instead.
+var ErrNotStreamed = experiments.ErrNotStreamed
+
 // RenderReport writes a report as an aligned text table.
 func RenderReport(w io.Writer, r *ExperimentReport) { r.Render(w) }
 

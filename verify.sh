@@ -48,6 +48,15 @@ go build -race -o "$TRACETMP/experiments" ./cmd/experiments
 cmp "$TRACETMP/t1.json" "$TRACETMP/t8.json"
 cmp "$TRACETMP/out1.txt" "$TRACETMP/out8.txt"
 
+echo "== mdworkflow -trace determinism: -reps 4 at -j1 vs -j4 (race) =="
+# The per-frame timeline is rendered from each repetition's recorded spans
+# after the batch, one repetition after another in seed order, so the file
+# is byte-identical for any worker count.
+go build -race -o "$TRACETMP/mdworkflow" ./cmd/mdworkflow
+"$TRACETMP/mdworkflow" -pairs 2 -frames 16 -reps 4 -j 1 -trace "$TRACETMP/md_j1.txt" > /dev/null
+"$TRACETMP/mdworkflow" -pairs 2 -frames 16 -reps 4 -j 4 -trace "$TRACETMP/md_j4.txt" > /dev/null
+cmp "$TRACETMP/md_j1.txt" "$TRACETMP/md_j4.txt"
+
 echo "== metrics determinism: -metrics/-metrics-prom at -j1 vs -j8 (race) =="
 # Metrics sampling must be observation-only and worker-count-independent:
 # the time-series CSV, the Prometheus snapshot, and the dashboard report
