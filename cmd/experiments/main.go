@@ -54,11 +54,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		quiet      = fs.Bool("q", false, "suppress per-experiment progress on stderr")
 		memstats   = fs.Bool("memstats", false, "report per-experiment host allocation deltas on stderr")
 		traceOut   = fs.String("trace", "", "record virtual-time span traces: write a Chrome trace-event JSON file here and emit per-experiment time-breakdown reports")
-		traceStrm  = fs.String("trace-stream", "", "like -trace but bounded-memory: stream spans into the Chrome trace file as they are emitted (same bytes; no breakdown reports)")
 		metricsOut = fs.String("metrics", "", "sample virtual-time resource metrics: write a time-series CSV file here and emit per-experiment utilization dashboards")
 		promOut    = fs.String("metrics-prom", "", "with metrics sampling, also write an end-of-run Prometheus text-format snapshot here")
-		metricsStm = fs.String("metrics-stream", "", "like -metrics but bounded-memory: stream samples into the CSV file as they are taken (same bytes; no dashboards or -metrics-prom)")
-		metricsInt = fs.Duration("metrics-interval", 0, "virtual-time sampling period for -metrics/-metrics-prom/-metrics-stream (0 = 250ms)")
+		metricsInt = fs.Duration("metrics-interval", 0, "virtual-time sampling period for -metrics/-metrics-prom (0 = 250ms)")
 		critOut    = fs.String("critpath", "", "record causal dependency graphs: write a frame-provenance waterfall CSV file here and emit per-experiment critical-path blame reports")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -95,6 +93,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage("-j must be >= 0 (got %d); 0 means one worker per core", *workers)
 	case *headstart < 0:
 		return usage("-headstart must be >= 0 (got %v)", *headstart)
+	case *metricsInt < 0:
+		return usage("-metrics-interval must be >= 0 (got %v); 0 means 250ms", *metricsInt)
 	case *budget < 0:
 		return usage("-budget must be >= 0 (got %d); 0 means the default budget", *budget)
 	}
@@ -186,28 +186,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	opts := repro.ExperimentOptions{Reps: *reps, Frames: *frames, Seed: *seed, Quick: *quick, Workers: *workers, ConsumerHeadStart: *headstart}
-	if *traceOut != "" && *traceStrm != "" {
-		return fatal(errors.New("-trace and -trace-stream are mutually exclusive"))
-	}
-	if *metricsStm != "" && (*metricsOut != "" || *promOut != "") {
-		return fatal(errors.New("-metrics-stream cannot be combined with -metrics or -metrics-prom (streamed samples are not retained for dashboards or snapshots)"))
-	}
-	if *critOut != "" && *traceStrm != "" {
-		return fatal(errors.New("-critpath and -trace-stream are mutually exclusive (flow-event merging needs buffered spans)"))
-	}
 	var collector *repro.TraceCollector
 	if *traceOut != "" {
 		collector = repro.NewTraceCollector()
 		opts.Trace = collector
-	}
-	var traceFile *os.File
-	if *traceStrm != "" {
-		f, err := os.Create(*traceStrm)
-		if err != nil {
-			return fatal(err)
-		}
-		traceFile = f
-		opts.TraceStream = repro.NewChromeTraceStream(f)
 	}
 	var mcollector *repro.MetricsCollector
 	if *metricsOut != "" || *promOut != "" {
@@ -219,17 +201,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *critOut != "" {
 		ccollector = repro.NewCritPathCollector()
 		opts.CritPath = ccollector
-	}
-	var mstream *repro.MetricsStreamer
-	var metricsFile *os.File
-	if *metricsStm != "" {
-		f, err := os.Create(*metricsStm)
-		if err != nil {
-			return fatal(err)
-		}
-		metricsFile = f
-		mstream = &repro.MetricsStreamer{Sink: repro.NewMetricsCSVSink(f), Interval: *metricsInt}
-		opts.MetricsStream = mstream
 	}
 	effWorkers := *workers
 	if effWorkers <= 0 {
@@ -249,7 +220,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// Run labels repeat across experiments (fig6/fig7 sweep overlapping
 		// ensembles); the scope keeps exported series distinguishable.
 		mcollector.SetScope(id)
-		mstream.SetScope(id)
 		rep, err := repro.RunExperiment(id, opts)
 		if err != nil {
 			if !*quiet {
@@ -317,28 +287,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		if !*quiet {
 			fmt.Fprintf(stderr, "wrote %d sampled run(s) to %s\n", len(mcollector.Runs), *metricsOut)
-		}
-	}
-	if traceFile != nil {
-		if err := opts.TraceStream.Close(); err != nil {
-			return fatal(err)
-		}
-		if err := traceFile.Close(); err != nil {
-			return fatal(err)
-		}
-		if !*quiet {
-			fmt.Fprintf(stderr, "streamed traces to %s\n", *traceStrm)
-		}
-	}
-	if metricsFile != nil {
-		if err := mstream.Sink.Flush(); err != nil {
-			return fatal(err)
-		}
-		if err := metricsFile.Close(); err != nil {
-			return fatal(err)
-		}
-		if !*quiet {
-			fmt.Fprintf(stderr, "streamed metrics to %s\n", *metricsStm)
 		}
 	}
 	if ccollector != nil {

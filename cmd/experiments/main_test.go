@@ -134,6 +134,7 @@ func TestFlagValidationUpFront(t *testing.T) {
 		{"-frames", "-1", "fig5"},
 		{"-j", "-2", "table1"},
 		{"-headstart", "-5ms", "fig5"},
+		{"-metrics-interval", "-1s", "-metrics", filepath.Join(t.TempDir(), "m.csv"), "fig5"},
 		{"-budget", "-1", "calibrate"},
 	}
 	for _, args := range cases {
@@ -272,33 +273,6 @@ func TestCritpathStreamsAndArtifacts(t *testing.T) {
 	}
 	if !strings.HasPrefix(string(wf), "run,frame,hop,proc,start_us,dur_us,bytes\n") {
 		t.Fatalf("waterfall header wrong: %q", string(wf[:min(len(wf), 60)]))
-	}
-	// Mutually exclusive with -trace-stream: flow-event merging needs
-	// buffered spans.
-	code, out, errOut = capture(t, "-critpath", wPath, "-trace-stream", filepath.Join(dir, "t.json"), "fig5")
-	if code != 1 || out != "" || !strings.Contains(errOut, "mutually exclusive") {
-		t.Fatalf("-critpath -trace-stream: exit %d stdout %q stderr %q", code, out, errOut)
-	}
-}
-
-// A streaming flag on an experiment it does not reach is refused: exit 1,
-// nothing on stdout, one stderr line naming the experiment and the
-// buffered flag to use.
-func TestStreamingRefusedWhereNotWired(t *testing.T) {
-	dir := t.TempDir()
-	for _, tc := range []struct{ flag, id, buffered string }{
-		{"-trace-stream", "faultsweep", "-trace"},
-		{"-metrics-stream", "capsweep", "-metrics"},
-	} {
-		code, out, errOut := capture(t, "-quick", "-q", "-reps", "1", "-frames", "4",
-			tc.flag, filepath.Join(dir, "artifact"), tc.id)
-		if code != 1 || out != "" {
-			t.Errorf("%s %s: exit %d stdout %q, want exit 1 and no stdout", tc.flag, tc.id, code, out)
-		}
-		if strings.Count(errOut, "\n") != 1 || !strings.Contains(errOut, tc.id) ||
-			!strings.Contains(errOut, "use "+tc.buffered+"\n") {
-			t.Errorf("%s %s: stderr %q, want one line naming %s and %s", tc.flag, tc.id, errOut, tc.id, tc.buffered)
-		}
 	}
 }
 

@@ -34,9 +34,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dyad"
 	"repro/internal/faults"
-	"repro/internal/metrics"
 	"repro/internal/models"
-	"repro/internal/trace"
 )
 
 // Backend selects the data management solution under test.
@@ -180,8 +178,7 @@ type Config struct {
 	// Recording is observation-only — it never touches the virtual timeline
 	// or any RNG stream, so a recorded run's measurements are byte-identical
 	// to the same run unrecorded. Off (the default) costs one nil check per
-	// hook site and zero allocations. Mutually exclusive with TraceStream
-	// (flow-event merging needs buffered spans).
+	// hook site and zero allocations.
 	CritPath bool
 	// MetricsInterval, when > 0, attaches a virtual-time metrics registry
 	// sampling every resource series at this fixed interval, surfaced on
@@ -191,29 +188,6 @@ type Config struct {
 	// independent of the worker count. Zero (the default) costs one nil
 	// check per event and per instrumented operation.
 	MetricsInterval time.Duration
-	// TraceStream, when non-nil, streams the run's spans straight into a
-	// shared Chrome trace writer instead of retaining them: each span is
-	// serialized the moment it is emitted, Result.Spans stays nil, and
-	// Result.SpanStats comes from an incremental fold — recorder memory is
-	// O(live procs + operation kinds) regardless of run length. The bytes
-	// written are identical to buffered RecordSpans export of the same run
-	// (WriteChrome is a loop over the same stream). Mutually exclusive with
-	// RecordSpans. The stream is not safe for concurrent runs: at most one
-	// run per RunMany batch may set it (the experiments layer streams only
-	// the first repetition, matching buffered tracing).
-	TraceStream *trace.ChromeStream
-	// MetricsSink, when non-nil, streams each metrics sample as one CSV row
-	// the moment the sampler fires instead of buffering sample vectors:
-	// Result.Metrics stays nil and registry memory is O(series count)
-	// regardless of run length, with bytes identical to buffered WriteCSV.
-	// Requires MetricsInterval > 0. Like TraceStream, at most one run per
-	// batch may set it. Because the samples are not retained, streaming
-	// runs cannot feed the Prometheus/dashboard exporters.
-	MetricsSink *metrics.CSVSink
-	// MetricsRunLabel overrides the CSV run header label for MetricsSink
-	// (the experiments layer scopes it as "<figure> <config>"). Empty means
-	// Label().
-	MetricsRunLabel string
 }
 
 // EffectiveStride returns the configured stride, or the model's default.
@@ -301,15 +275,6 @@ func (c Config) Validate() error {
 	}
 	if c.MetricsInterval < 0 {
 		return fmt.Errorf("core: MetricsInterval %v < 0", c.MetricsInterval)
-	}
-	if c.TraceStream != nil && c.RecordSpans {
-		return fmt.Errorf("core: TraceStream and RecordSpans are mutually exclusive (streamed spans are not retained)")
-	}
-	if c.CritPath && c.TraceStream != nil {
-		return fmt.Errorf("core: CritPath and TraceStream are mutually exclusive (flow-event merging needs buffered spans)")
-	}
-	if c.MetricsSink != nil && c.MetricsInterval <= 0 {
-		return fmt.Errorf("core: MetricsSink requires MetricsInterval > 0")
 	}
 	return nil
 }

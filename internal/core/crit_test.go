@@ -2,8 +2,6 @@ package core
 
 import (
 	"testing"
-
-	"repro/internal/trace"
 )
 
 func critCfg(b Backend) Config {
@@ -63,18 +61,6 @@ func TestCritPathPooledReuseInvisible(t *testing.T) {
 		}
 	}
 }
-
-func TestValidateRejectsCritPathWithTraceStream(t *testing.T) {
-	cfg := critCfg(DYAD)
-	cfg.TraceStream = trace.NewChromeStream(discard{})
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("CritPath+TraceStream validated, want rejection")
-	}
-}
-
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }
 
 // Size-only sweeps (RealFrames=false, the default) must record full
 // provenance without touching payload bytes; RealFrames runs agree on the

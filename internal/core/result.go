@@ -144,29 +144,14 @@ func (r *rig) collect() (*Result, error) {
 		res.ConsumerProfiles = r.consProfiles
 	}
 	if r.rec != nil {
-		if r.rec.Streaming() {
-			// Streamed spans were serialized on emission and never retained;
-			// the per-operation statistics were folded incrementally.
-			res.SpanStats = r.rec.Stats()
-		} else {
-			res.Spans = r.rec.Spans()
-			res.SpanStats = trace.Aggregate(res.Spans)
-		}
+		res.Spans = r.rec.Spans()
+		res.SpanStats = trace.Aggregate(res.Spans)
 	}
 	if r.cp != nil {
 		g := r.cp.Finish(r.eng.Now())
 		res.Crit = &critpath.Summary{Path: critpath.Extract(g), Frames: g.Lineages}
 	}
-	if r.reg != nil && r.cfg.MetricsSink == nil {
-		// A streamed registry's samples are already on disk and its series
-		// hold none, so only buffered runs retain the registry.
-		res.Metrics = r.reg
-	}
-	if r.rec != nil && r.rec.Streaming() {
-		// Close out the run in the shared Chrome stream, appending counter
-		// tracks when this run also buffered metrics (nil-safe otherwise).
-		r.cfg.TraceStream.EndRun(r.rec, metrics.CounterTracks(res.Metrics))
-	}
+	res.Metrics = r.reg
 	return res, nil
 }
 

@@ -129,12 +129,6 @@ func newRig(cfg Config) *rig {
 	if cfg.RecordSpans {
 		r.rec = trace.NewRecorder()
 		eng.SetRecorder(r.rec)
-	} else if cfg.TraceStream != nil {
-		// Streaming tracer: spans serialize on emission into the shared
-		// Chrome stream; the recorder holds only proc tids and incremental
-		// per-operation statistics.
-		r.rec = cfg.TraceStream.StartRun(rc.Label())
-		eng.SetRecorder(r.rec)
 	}
 	if cfg.CritPath {
 		// Install before any backend construction so every spawn (including
@@ -206,15 +200,6 @@ func newRig(cfg Config) *rig {
 	if cfg.MetricsInterval > 0 {
 		r.reg = metrics.New(cfg.MetricsInterval)
 		r.registerMetrics()
-		if cfg.MetricsSink != nil {
-			// Streaming sink: every series is registered by now, so the run's
-			// CSV header is complete; subsequent samples write one row each.
-			label := cfg.MetricsRunLabel
-			if label == "" {
-				label = rc.Label()
-			}
-			cfg.MetricsSink.StartRun(label, r.reg)
-		}
 		reg := r.reg
 		eng.SetSampler(cfg.MetricsInterval, func(t sim.Time) { reg.Sample(t) })
 	}
@@ -534,7 +519,3 @@ func emitSpan(p *sim.Proc, name string, class trace.Class, start sim.Time) {
 	p.Rec().Emit(trace.Span{Proc: p.Name(), Component: "workflow", Name: name,
 		Class: class, Start: start, Dur: p.Now() - start})
 }
-
-// defaultDyadParams re-exports dyad.DefaultParams for ablation tests and
-// callers composing overrides.
-func defaultDyadParams() dyad.Params { return dyad.DefaultParams() }

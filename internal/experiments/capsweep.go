@@ -42,9 +42,6 @@ import (
 // event-serialized, so every cell is byte-identical for any -j.
 func CapSweep(o Options) (*Report, error) {
 	o = o.Defaults()
-	if err := refuseStreams("capsweep", o, true); err != nil {
-		return nil, err
-	}
 	jac := mustModel("JAC")
 	pairsMulti, pairsXFS := 8, 4
 	if o.Quick {

@@ -7,7 +7,6 @@ package experiments
 
 import (
 	"encoding/csv"
-	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -17,7 +16,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/models"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // Options tune experiment execution.
@@ -51,28 +49,12 @@ type Options struct {
 	// and Prometheus export plus per-experiment utilization dashboards.
 	// Sampling is observation-only, like tracing.
 	Metrics *MetricsCollector
-	// TraceStream, when non-nil, traces one repetition of each configuration
-	// like Trace but serializes spans into the shared Chrome stream as they
-	// are emitted instead of retaining them — bounded-memory tracing for
-	// large-N sweeps, with bytes identical to buffered collection followed
-	// by trace.WriteChrome. Mutually exclusive with Trace (breakdown
-	// reports need retained spans and are skipped when streaming).
-	// Experiments that do not wire it return ErrNotStreamed.
-	TraceStream *trace.ChromeStream
-	// MetricsStream, when non-nil, meters one repetition of each
-	// configuration like Metrics but streams samples into a CSV sink as
-	// they are taken — bounded-memory metering, bytes identical to buffered
-	// collection followed by metrics.WriteCSV. Mutually exclusive with
-	// Metrics (the dashboard and Prometheus exporters need retained
-	// samples and are unavailable when streaming). Experiments that meter
-	// under Metrics but do not wire it return ErrNotStreamed.
-	MetricsStream *MetricsStream
 	// CritPath, when non-nil, records the causal dependency graph on one
 	// repetition of each configuration and collects the extracted critical
 	// paths for per-experiment blame reports plus frame-provenance waterfall
 	// export. Recording is observation-only, like tracing. A repetition that
 	// is both traced and recorded gets its frame lineages merged into the
-	// Chrome trace as flow events. Mutually exclusive with TraceStream.
+	// Chrome trace as flow events.
 	CritPath *CritCollector
 }
 
@@ -240,12 +222,6 @@ func runAgg(cfg core.Config, o Options) (core.Aggregate, error) {
 		// configuration keeps trace volume linear in the sweep, and the
 		// schedule keeps every rep's seed identical to the untraced run.
 		cfgs[0].RecordSpans = true
-	} else if o.TraceStream != nil {
-		// Streaming variant of the same policy. Only the first repetition
-		// writes to the stream and configuration batches run sequentially,
-		// so the shared stream has one writer at a time and its run order
-		// matches buffered collection order.
-		cfgs[0].TraceStream = o.TraceStream
 	}
 	if o.CritPath != nil {
 		// Record the dependency graph on the first repetition only,
@@ -259,10 +235,6 @@ func runAgg(cfg core.Config, o Options) (core.Aggregate, error) {
 		// rep that is both traced and sampled gets its counter tracks merged
 		// into the Chrome trace.
 		cfgs[0].MetricsInterval = o.Metrics.SampleInterval()
-	} else if o.MetricsStream != nil {
-		cfgs[0].MetricsInterval = o.MetricsStream.SampleInterval()
-		cfgs[0].MetricsSink = o.MetricsStream.Sink
-		cfgs[0].MetricsRunLabel = o.MetricsStream.runLabel(cfg.Label())
 	}
 	results, err := core.RunMany(cfgs, o.Workers)
 	if err != nil {
@@ -278,25 +250,6 @@ func runAgg(cfg core.Config, o Options) (core.Aggregate, error) {
 		o.CritPath.Add(cfg.Label(), results)
 	}
 	return core.Aggregated(results), nil
-}
-
-// ErrNotStreamed reports a streaming sink (Options.TraceStream or
-// Options.MetricsStream) handed to an experiment whose runs it does not
-// reach. Such a sink would record nothing, so the experiment refuses to
-// run; the buffered Trace or Metrics collector records it.
-var ErrNotStreamed = errors.New("streaming sink not wired")
-
-// refuseStreams returns an ErrNotStreamed error naming experiment id and
-// the buffered flag to use when o carries TraceStream, or MetricsStream
-// and metered is set (the experiment meters under buffered Metrics).
-func refuseStreams(id string, o Options, metered bool) error {
-	switch {
-	case o.TraceStream != nil:
-		return fmt.Errorf("%s records nothing under -trace-stream (%w); use -trace", id, ErrNotStreamed)
-	case metered && o.MetricsStream != nil:
-		return fmt.Errorf("%s records nothing under -metrics-stream (%w); use -metrics", id, ErrNotStreamed)
-	}
-	return nil
 }
 
 // fmtMS renders a seconds summary as mean±std.

@@ -2,12 +2,8 @@ package experiments
 
 import (
 	"bytes"
-	"errors"
 	"strings"
 	"testing"
-
-	"repro/internal/metrics"
-	"repro/internal/trace"
 )
 
 // quickOpts keeps experiment tests fast while exercising the full paths.
@@ -205,40 +201,5 @@ func TestReportRaggedRowRenders(t *testing.T) {
 	}
 	if lines[2] != "1,2,extra" {
 		t.Errorf("csv ragged row %q, want %q", lines[2], "1,2,extra")
-	}
-}
-
-// Experiments whose runs bypass the streaming sinks refuse them with
-// ErrNotStreamed before running anything: a TraceStream everywhere the
-// buffered Trace records spans, a MetricsStream where Metrics meters runs.
-func TestStreamingRefusedWhereNotWired(t *testing.T) {
-	var sink bytes.Buffer
-	for _, tc := range []struct {
-		id     string
-		stream func(*Options)
-		flag   string
-	}{
-		{"faultsweep", func(o *Options) { o.TraceStream = trace.NewChromeStream(&sink) }, "-trace"},
-		{"capsweep", func(o *Options) { o.TraceStream = trace.NewChromeStream(&sink) }, "-trace"},
-		{"straggler", func(o *Options) { o.TraceStream = trace.NewChromeStream(&sink) }, "-trace"},
-		{"fig9", func(o *Options) { o.TraceStream = trace.NewChromeStream(&sink) }, "-trace"},
-		{"fig10", func(o *Options) { o.TraceStream = trace.NewChromeStream(&sink) }, "-trace"},
-		{"faultsweep", func(o *Options) { o.MetricsStream = &MetricsStream{Sink: metrics.NewCSVSink(&sink)} }, "-metrics"},
-		{"capsweep", func(o *Options) { o.MetricsStream = &MetricsStream{Sink: metrics.NewCSVSink(&sink)} }, "-metrics"},
-	} {
-		e, err := ByID(tc.id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		o := quickOpts()
-		tc.stream(&o)
-		_, err = e.Run(o)
-		if !errors.Is(err, ErrNotStreamed) {
-			t.Errorf("%s: err = %v, want ErrNotStreamed", tc.id, err)
-			continue
-		}
-		if msg := err.Error(); !strings.Contains(msg, tc.id) || !strings.HasSuffix(msg, "use "+tc.flag) {
-			t.Errorf("%s: error %q does not name the experiment and %s", tc.id, msg, tc.flag)
-		}
 	}
 }

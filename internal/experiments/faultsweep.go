@@ -26,9 +26,6 @@ import (
 // table is byte-identical for any worker count.
 func FaultSweep(o Options) (*Report, error) {
 	o = o.Defaults()
-	if err := refuseStreams("faultsweep", o, true); err != nil {
-		return nil, err
-	}
 	jac := mustModel("JAC")
 	rates := []float64{0, 1, 2, 4}
 	pairsMulti, pairsXFS := 8, 4

@@ -101,9 +101,6 @@ func consumerEnsemble(b core.Backend, model models.Model, o Options) (*thicket.E
 // (dyad_fetch) is ~2.1x cheaper for STMV due to reduced KVS stress.
 func Fig9(o Options) (*Report, error) {
 	o = o.Defaults()
-	if err := refuseStreams("fig9", o, false); err != nil {
-		return nil, err
-	}
 	jac, stmv := mustModel("JAC"), mustModel("STMV")
 	ensJAC, err := consumerEnsemble(core.DYAD, jac, o)
 	if err != nil {
@@ -156,9 +153,6 @@ func Fig9(o Options) (*Report, error) {
 // explicit_sync stays roughly constant, capping scalability.
 func Fig10(o Options) (*Report, error) {
 	o = o.Defaults()
-	if err := refuseStreams("fig10", o, false); err != nil {
-		return nil, err
-	}
 	jac, stmv := mustModel("JAC"), mustModel("STMV")
 	ensJAC, err := consumerEnsemble(core.Lustre, jac, o)
 	if err != nil {

@@ -115,52 +115,6 @@ func dashboardRow(label string, s *metrics.Series, times []time.Duration) []stri
 // fmtG renders a dashboard value compactly with fixed precision.
 func fmtG(v float64) string { return fmt.Sprintf("%.3g", v) }
 
-// MetricsStream is the bounded-memory counterpart of MetricsCollector:
-// instead of retaining every sampled registry for end-of-sweep export, each
-// metered repetition streams its samples straight into Sink as CSV rows the
-// moment the sampler fires. The bytes written are identical to buffered
-// collection followed by metrics.WriteCSV over the same runs; what is lost
-// is everything that needs the retained sample vectors (the utilization
-// dashboard, the Prometheus snapshot). Use it for large-N sweeps where
-// holding every sample vector would dominate host memory.
-//
-// Pass one through Options.MetricsStream (mutually exclusive with
-// Options.Metrics); the driver sets the experiment scope before each
-// experiment so run labels match buffered collection.
-type MetricsStream struct {
-	// Sink receives one CSV block per metered run.
-	Sink *metrics.CSVSink
-	// Interval is the virtual sampling period (0 = 250ms default).
-	Interval time.Duration
-
-	scope string
-}
-
-// SampleInterval returns the virtual sampling period runs should use.
-func (c *MetricsStream) SampleInterval() time.Duration {
-	if c.Interval > 0 {
-		return c.Interval
-	}
-	return 250 * time.Millisecond
-}
-
-// SetScope prefixes subsequent run labels with an experiment id, mirroring
-// MetricsCollector.SetScope. Nil-safe.
-func (c *MetricsStream) SetScope(id string) {
-	if c != nil {
-		c.scope = id
-	}
-}
-
-// runLabel renders the scoped run label a metered run writes in its CSV
-// header — identical to the label MetricsCollector.Add would record.
-func (c *MetricsStream) runLabel(label string) string {
-	if c.scope != "" {
-		return c.scope + " " + label
-	}
-	return label
-}
-
 // Drain returns the dashboard rows accumulated since the last call as a
 // report, or nil if no sampled run contributed. The pending rows are
 // cleared; the exporter runs are kept.

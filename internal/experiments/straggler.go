@@ -15,9 +15,6 @@ import (
 // coupling for those pairs.
 func Straggler(o Options) (*Report, error) {
 	o = o.Defaults()
-	if err := refuseStreams("straggler", o, false); err != nil {
-		return nil, err
-	}
 	jac := mustModel("JAC")
 	const pairs = 16 // producers on two nodes; node 0 is the straggler
 	const factor = 8.0

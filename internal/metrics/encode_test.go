@@ -12,8 +12,8 @@ import (
 )
 
 // oracleCSV renders runs with the FormatFloat-per-field row formatting the
-// append encoder replaced: the reference WriteCSV and the sink must
-// reproduce byte for byte.
+// append encoder replaced: the reference WriteCSV must reproduce byte for
+// byte.
 func oracleCSV(runs []Run) string {
 	var b strings.Builder
 	for ri, run := range runs {
@@ -50,9 +50,8 @@ func gaugeRun(r *Registry, values []float64, times []time.Duration) {
 }
 
 // The CSV row encoder must be a byte-identical replacement for the
-// FormatFloat formatting on both export paths — WriteCSV over retained
-// samples and a CSVSink-bound Registry.Sample — for any timestamp and any
-// value (NaN, ±Inf, -0, subnormals, extremes).
+// FormatFloat formatting for any timestamp and any value (NaN, ±Inf, -0,
+// subnormals, extremes).
 func FuzzMetricsCSVRow(f *testing.F) {
 	f.Add("DYAD rep 0", int64(250*time.Millisecond), math.Float64bits(0.5), math.Float64bits(1e21))
 	f.Add("hostile\nlabel\\", int64(-1), math.Float64bits(math.NaN()), math.Float64bits(math.Inf(-1)))
@@ -73,23 +72,6 @@ func FuzzMetricsCSVRow(f *testing.F) {
 		if got.String() != want {
 			t.Fatalf("WriteCSV diverged from the reference formatting:\n got %q\nwant %q", got.String(), want)
 		}
-
-		got = bytes.Buffer{}
-		sink := NewCSVSink(&got)
-		for range runs {
-			r := New(time.Second)
-			gaugeRun(r, values, nil)
-			sink.StartRun(label, r)
-			for _, t := range times {
-				r.Sample(t)
-			}
-		}
-		if err := sink.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if got.String() != want {
-			t.Fatalf("CSVSink diverged from the reference formatting:\n got %q\nwant %q", got.String(), want)
-		}
 	})
 }
 
@@ -102,9 +84,8 @@ func csvTimes(n int) []time.Duration {
 	return times
 }
 
-// The CSV exporters allocate per document, not per row: 100x more rows
-// through WriteCSV, and 100x more sample boundaries through a CSVSink-bound
-// registry, add zero allocations.
+// The CSV exporter allocates per document, not per row: 100x more rows
+// through WriteCSV add zero allocations.
 func TestCSVRowsZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; allocation budget checked without -race")
@@ -120,26 +101,9 @@ func TestCSVRowsZeroAllocs(t *testing.T) {
 			}
 		})
 	}
-	sinkAllocs := func(n int) float64 {
-		times := csvTimes(n)
-		sink := NewCSVSink(io.Discard)
-		return testing.AllocsPerRun(5, func() {
-			r := New(250 * time.Millisecond)
-			gaugeRun(r, values, nil)
-			sink.StartRun("a", r)
-			for _, t := range times {
-				r.Sample(t)
-			}
-			if err := sink.Flush(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	for name, allocs := range map[string]func(int) float64{"WriteCSV": writeAllocs, "CSVSink": sinkAllocs} {
-		base, long := allocs(200), allocs(20_000)
-		if delta := long - base; delta > 0 {
-			t.Errorf("%s allocates per row: %.0f allocs over 19800 extra rows (base %.0f, long %.0f)", name, delta, base, long)
-		}
+	base, long := writeAllocs(200), writeAllocs(20_000)
+	if delta := long - base; delta > 0 {
+		t.Errorf("WriteCSV allocates per row: %.0f allocs over 19800 extra rows (base %.0f, long %.0f)", delta, base, long)
 	}
 }
 

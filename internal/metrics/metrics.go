@@ -89,12 +89,6 @@ type Series struct {
 	prevDen float64
 	totNum  float64 // KindRatio: cumulative numerator/denominator deltas
 	totDen  float64
-	// Vector-free snapshot state, maintained at every boundary so the
-	// Prometheus snapshot never needs the Samples vector — what keeps
-	// WriteProm exact for sink-streamed runs that retain no samples.
-	last    float64 // most recent sampled value (gauge snapshot)
-	utilSum float64 // KindUtil: running sum of sampled fractions
-	n       int64   // boundaries sampled
 }
 
 // OnDashboard marks the series for the dashboard and Chrome counter
@@ -163,10 +157,6 @@ type Registry struct {
 	times    []time.Duration
 	series   []*Series
 	hists    []*Histogram
-
-	// sink, when bound by CSVSink.StartRun, streams one CSV row per sample
-	// boundary instead of growing the per-series Samples vectors.
-	sink *CSVSink
 }
 
 // New creates a registry sampling at the given fixed virtual interval.
@@ -255,23 +245,12 @@ func (r *Registry) Histogram(name string) *Histogram {
 // Sample records one value per registered series at virtual time t. The
 // engine sampler calls it at every interval boundary; probes must only
 // read state (no event scheduling, no RNG draws), which keeps sampling
-// observation-only. A sink-bound registry (CSVSink.StartRun) writes the
-// boundary as one CSV row instead of growing the Samples vectors, so
-// registry memory stays O(series count) on runs of any length.
+// observation-only.
 func (r *Registry) Sample(t time.Duration) {
 	if r == nil {
 		return
 	}
 	sec := r.interval.Seconds()
-	if k := r.sink; k != nil {
-		b := appendF(k.buf[:0], t.Seconds())
-		for _, s := range r.series {
-			b = appendF(append(b, ','), s.sample(r.interval, sec))
-		}
-		k.buf = append(b, '\n')
-		k.bw.Write(k.buf)
-		return
-	}
 	r.times = append(r.times, t)
 	for _, s := range r.series {
 		s.Samples = append(s.Samples, s.sample(r.interval, sec))
@@ -279,8 +258,7 @@ func (r *Registry) Sample(t time.Duration) {
 }
 
 // sample computes the series' value at one boundary and advances its
-// cursors and vector-free snapshot state — shared by the buffered and
-// sink-streamed paths so both produce identical values and snapshots.
+// cumulative cursors.
 func (s *Series) sample(interval time.Duration, sec float64) float64 {
 	var v float64
 	switch s.Kind {
@@ -308,11 +286,6 @@ func (s *Series) sample(interval time.Duration, sec float64) float64 {
 			v = dn / dd
 		}
 	}
-	s.last = v
-	if s.Kind == KindUtil {
-		s.utilSum += v
-	}
-	s.n++
 	return v
 }
 
@@ -366,21 +339,6 @@ func fmtF(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 // rows are encoded with.
 func appendF(dst []byte, v float64) []byte { return strconv.AppendFloat(dst, v, 'g', -1, 64) }
 
-// writeCSVRunHeader writes one run's "# label" comment and header row —
-// shared by WriteCSV and CSVSink so buffered and streamed exports of the
-// same runs are byte-identical by construction.
-func writeCSVRunHeader(bw *bufio.Writer, label string, series []*Series) {
-	bw.WriteString("# ")
-	bw.WriteString(csvComment(label))
-	bw.WriteByte('\n')
-	bw.WriteString("time_s")
-	for _, s := range series {
-		bw.WriteByte(',')
-		bw.WriteString(s.Name)
-	}
-	bw.WriteByte('\n')
-}
-
 // WriteCSV writes the sampled time series of every run: per run, a "# label"
 // comment line, a header (time_s then series names in registration order),
 // and one row per elapsed sample interval. Runs are separated by one blank
@@ -393,7 +351,14 @@ func WriteCSV(w io.Writer, runs []Run) error {
 		if ri > 0 {
 			bw.WriteByte('\n')
 		}
-		writeCSVRunHeader(bw, run.Label, run.Reg.Series())
+		bw.WriteString("# ")
+		bw.WriteString(csvComment(run.Label))
+		bw.WriteString("\ntime_s")
+		for _, s := range run.Reg.Series() {
+			bw.WriteByte(',')
+			bw.WriteString(s.Name)
+		}
+		bw.WriteByte('\n')
 		for i, t := range run.Reg.Times() {
 			b = appendF(b[:0], t.Seconds())
 			for _, s := range run.Reg.Series() {
@@ -406,57 +371,24 @@ func WriteCSV(w io.Writer, runs []Run) error {
 	return bw.Flush()
 }
 
-// CSVSink streams sampled metrics as they are taken: StartRun binds a
-// run's registry to the sink, and every subsequent sample boundary writes
-// one CSV row through the sink's buffer instead of growing the registry's
-// sample vectors. The byte stream is identical to WriteCSV over the same
-// runs (shared header and row formatting), while memory stays O(series
-// count + one I/O buffer) on runs of any length. A sink serializes one run
-// at a time: concurrently executing sampled runs must not share it.
-type CSVSink struct {
-	bw   *bufio.Writer
-	buf  []byte // one row's scratch, reused across sample boundaries
-	runs int
-}
-
-// NewCSVSink returns a sink streaming CSV rows to w.
-func NewCSVSink(w io.Writer) *CSVSink {
-	return &CSVSink{bw: bufio.NewWriter(w)}
-}
-
-// StartRun opens the next run on the sink: it writes the run separator,
-// the "# label" comment, and the header row — so every series must already
-// be registered — and redirects the registry's subsequent Sample calls
-// into the sink.
-func (k *CSVSink) StartRun(label string, reg *Registry) {
-	if k.runs > 0 {
-		k.bw.WriteByte('\n')
-	}
-	k.runs++
-	writeCSVRunHeader(k.bw, label, reg.Series())
-	reg.sink = k
-}
-
-// Flush forces buffered rows to the underlying writer. Call it before
-// closing the file the sink streams into.
-func (k *CSVSink) Flush() error { return k.bw.Flush() }
-
 // snapshot reduces a series' sampled window to one end-of-run value and
 // its Prometheus type. Counters and rates export the cumulative total at
 // the last boundary; gauges the last sample; utilizations the mean busy
-// fraction; ratios the delta-weighted whole-run ratio. Pure: it reads the
-// vector-free snapshot state only (maintained identically by the buffered
-// and sink-streamed paths) and never calls probes, so exporting is safe at
-// any point after the run, idempotent, and exact for streamed runs that
-// retain no sample vectors.
+// fraction; ratios the delta-weighted whole-run ratio. A series never
+// sampled snapshots to 0. Pure: it reads the cumulative cursors and the
+// Samples vector and never calls probes, so exporting is safe at any point
+// after the run and idempotent.
 func (s *Series) snapshot() (promType string, v float64) {
 	switch s.Kind {
 	case KindCounter, KindRate:
 		return "counter", s.prev
 	case KindUtil:
-		sum := s.utilSum
-		if s.n > 0 {
-			sum /= float64(s.n)
+		var sum float64
+		for _, u := range s.Samples {
+			sum += u
+		}
+		if len(s.Samples) > 0 {
+			sum /= float64(len(s.Samples))
 		}
 		return "gauge", sum
 	case KindRatio:
@@ -465,7 +397,10 @@ func (s *Series) snapshot() (promType string, v float64) {
 		}
 		return "gauge", s.totNum / s.totDen
 	default:
-		return "gauge", s.last
+		if len(s.Samples) == 0 {
+			return "gauge", 0
+		}
+		return "gauge", s.Samples[len(s.Samples)-1]
 	}
 }
 

@@ -179,14 +179,15 @@ func TestWriteCSVDeterministicShape(t *testing.T) {
 
 func TestWritePromSnapshot(t *testing.T) {
 	r := New(time.Second)
-	var n, busy float64
+	var n, busy, depth float64
 	r.Counter("ops", func() float64 { return n })
 	r.Util("dev/util", 1, func() float64 { return busy })
+	r.Gauge("queue/depth", func() float64 { return depth })
 	h := r.Histogram("op/lat")
-	n, busy = 8, 0.5e9
+	n, busy, depth = 8, 0.5e9, 5
 	h.Observe(2 * time.Microsecond)
 	r.Sample(time.Second)
-	n, busy = 8, 0.5e9
+	n, busy, depth = 8, 0.5e9, 0.5
 	r.Sample(2 * time.Second)
 
 	var b strings.Builder
@@ -199,6 +200,8 @@ func TestWritePromSnapshot(t *testing.T) {
 		"repro_ops_total{run=\"q\\\"x\"} 8\n",
 		"# TYPE repro_dev_util gauge\n",
 		"repro_dev_util{run=\"q\\\"x\"} 0.25\n", // mean of 0.5 and 0
+		"# TYPE repro_queue_depth gauge\n",
+		"repro_queue_depth{run=\"q\\\"x\"} 0.5\n", // last sample, not the first (5) or the mean (2.75)
 		"# TYPE repro_op_lat_seconds histogram\n",
 		`le="+Inf"} 1`,
 		"repro_op_lat_seconds_count{run=\"q\\\"x\"} 1\n",
@@ -215,6 +218,33 @@ func TestWritePromSnapshot(t *testing.T) {
 	}
 	if out != b2.String() {
 		t.Fatal("WriteProm is not idempotent")
+	}
+
+	// A registry whose series were registered but never sampled snapshots
+	// every series to 0.
+	idle := New(time.Second)
+	one := func() float64 { return 1 }
+	idle.Gauge("g", one)
+	idle.Counter("c", one)
+	idle.Rate("r", one)
+	idle.Util("u", 2, one)
+	idle.Ratio("q", one, one)
+	var ib strings.Builder
+	if err := WriteProm(&ib, []Run{{Label: "idle", Reg: idle}}); err != nil {
+		t.Fatal(err)
+	}
+	values := 0
+	for _, line := range strings.Split(strings.TrimSuffix(ib.String(), "\n"), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		values++
+		if !strings.HasSuffix(line, "} 0") {
+			t.Errorf("unsampled series snapshot %q, want 0", line)
+		}
+	}
+	if values != 5 {
+		t.Errorf("unsampled registry exported %d values, want 5:\n%s", values, ib.String())
 	}
 }
 

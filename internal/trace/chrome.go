@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"strconv"
@@ -50,22 +51,151 @@ type Counter struct {
 //
 // The output is written with a fixed field order and fixed number
 // formatting, so a deterministic span stream serializes to deterministic
-// bytes — the property the -j1 vs -j8 trace identity check relies on. It is
-// a thin loop over ChromeStream, so buffered and streamed exports of the
-// same runs are byte-identical by construction.
+// bytes — the property the -j1 vs -j8 trace identity check relies on.
 func WriteChrome(w io.Writer, runs []Run) error {
-	cs := NewChromeStream(w)
-	for _, run := range runs {
-		rec := cs.StartRun(run.Label)
+	e := &chromeEncoder{bw: bufio.NewWriter(w), first: true, tids: make(map[string]int)}
+	e.bw.WriteString("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n")
+	for i, run := range runs {
+		e.startRun(i+1, run.Label)
 		for _, s := range run.Spans {
-			cs.span(rec, s)
+			e.span(s)
 		}
 		for _, f := range run.Flows {
-			cs.flow(rec, f)
+			e.flow(f)
 		}
-		cs.EndRun(rec, run.Counters)
+		e.counters(run.Counters)
 	}
-	return cs.Close()
+	e.bw.WriteString("\n]}\n")
+	return e.bw.Flush()
+}
+
+// chromeEncoder writes the event lines of one Chrome trace document. Each
+// line is encoded with strconv.Append* into one scratch buffer the encoder
+// owns, then copied into the bufio.Writer, so once every proc of a run has
+// its tid an event costs no allocation.
+type chromeEncoder struct {
+	bw    *bufio.Writer
+	buf   []byte         // scratch for the event line being encoded
+	first bool           // no event line emitted yet (comma placement)
+	pid   int            // current run's process id
+	tids  map[string]int // current run's proc -> tid, in first-appearance order
+}
+
+// event starts one event line in the scratch buffer with the document's
+// comma discipline: prefix (the opening brace through `"pid":`), the pid,
+// then the tid field.
+func (e *chromeEncoder) event(prefix string, tid int) []byte {
+	b := e.buf[:0]
+	if !e.first {
+		b = append(b, ",\n"...)
+	}
+	e.first = false
+	b = append(b, prefix...)
+	b = strconv.AppendInt(b, int64(e.pid), 10)
+	b = append(b, `,"tid":`...)
+	return strconv.AppendInt(b, int64(tid), 10)
+}
+
+// emit writes the finished event line and keeps its (possibly grown)
+// storage as the next line's scratch.
+func (e *chromeEncoder) emit(b []byte) {
+	e.bw.Write(b)
+	e.buf = b
+}
+
+// metadata emits a process_name (tid 0) or thread_name event.
+func (e *chromeEncoder) metadata(tid int, kind, name string) {
+	b := e.event(`{"ph":"M","pid":`, tid)
+	b = append(append(b, `,"name":"`...), kind...)
+	b = appendQuote(append(b, `","args":{"name":`...), name)
+	e.emit(append(b, "}}"...))
+}
+
+// startRun opens run pid as a Chrome process named by label, with an empty
+// thread table.
+func (e *chromeEncoder) startRun(pid int, label string) {
+	e.pid = pid
+	clear(e.tids)
+	e.metadata(0, "process_name", label)
+}
+
+// tid returns proc's thread id in the current run, emitting its
+// thread-name metadata on first appearance (tid = order of first
+// appearance).
+func (e *chromeEncoder) tid(proc string) int {
+	tid, ok := e.tids[proc]
+	if !ok {
+		tid = len(e.tids) + 1
+		e.tids[proc] = tid
+		e.metadata(tid, "thread_name", proc)
+	}
+	return tid
+}
+
+// span serializes one span. The cat field is quoted from its two parts:
+// strconv.Quote escapes rune by rune and the class part starts with an
+// ASCII comma, so quoting the component and appending ",class" inside the
+// closing quote equals quoting the concatenation.
+func (e *chromeEncoder) span(s Span) {
+	tid := e.tid(s.Proc)
+	prefix := `{"ph":"X","pid":`
+	if s.Dur == 0 {
+		prefix = `{"ph":"i","pid":`
+	}
+	b := e.event(prefix, tid)
+	b = AppendMicros(append(b, `,"ts":`...), s.Start)
+	if s.Dur == 0 {
+		b = append(b, `,"s":"t"`...)
+	} else {
+		b = AppendMicros(append(b, `,"dur":`...), s.Dur)
+	}
+	b = appendQuote(append(b, `,"name":`...), s.Name)
+	b = appendQuote(append(b, `,"cat":`...), s.Component)
+	b = append(b[:len(b)-1], ',')
+	b = append(append(b, s.Class.String()...), '"')
+	if s.Bytes != 0 || s.Attr != "" {
+		b = append(b, `,"args":{`...)
+		if s.Bytes != 0 {
+			b = strconv.AppendInt(append(b, `"bytes":`...), s.Bytes, 10)
+		}
+		if s.Attr != "" {
+			if s.Bytes != 0 {
+				b = append(b, ',')
+			}
+			b = appendQuote(append(b, `"attr":`...), s.Attr)
+		}
+		b = append(b, '}')
+	}
+	e.emit(append(b, '}'))
+}
+
+// flow serializes one flow event, reusing the run's thread table (a flow
+// anchored to a proc that never emitted a span still gets its thread-name
+// metadata first, exactly like span does).
+func (e *chromeEncoder) flow(f Flow) {
+	tid := e.tid(f.Proc)
+	prefix := `{"ph":"f","bp":"e","pid":`
+	if f.Start {
+		prefix = `{"ph":"s","pid":`
+	}
+	b := e.event(prefix, tid)
+	b = AppendMicros(append(b, `,"ts":`...), f.At)
+	b = strconv.AppendInt(append(b, `,"id":`...), f.ID, 10)
+	b = appendQuote(append(b, `,"name":`...), f.Name)
+	e.emit(append(b, `,"cat":"provenance"}`...))
+}
+
+// counters serializes the current run's sampled counter tracks.
+func (e *chromeEncoder) counters(counters []Counter) {
+	for _, c := range counters {
+		for i, t := range c.Times {
+			b := e.event(`{"ph":"C","pid":`, 0)
+			b = AppendMicros(append(b, `,"ts":`...), t)
+			b = appendQuote(append(b, `,"name":`...), c.Name)
+			b = strconv.AppendFloat(append(b, `,"args":{"value":`...), c.Values[i], 'g', -1, 64)
+			e.emit(append(b, "}}"...))
+		}
+	}
 }
 
 // AppendMicros appends a virtual duration as microseconds at nanosecond

@@ -178,9 +178,34 @@ func FuzzChromeEncoding(f *testing.F) {
 	})
 }
 
-// chromeAllocs measures the allocations of one ChromeStream lifetime that
-// streams n spans through a recorder (the -trace-stream path) and one
-// WriteChrome of a run with n spans, n flows and n counter samples.
+// synthSpans builds a deterministic span stream exercising every serializer
+// branch: whole and fractional timestamps, zero-duration instants, bytes,
+// attributes, classes, and multiple procs.
+func synthSpans(n int) []Span {
+	procs := []string{"producer000", "consumer000", "broker"}
+	spans := make([]Span, 0, n)
+	for i := 0; i < n; i++ {
+		s := Span{
+			Proc:      procs[i%len(procs)],
+			Component: "ssd",
+			Name:      "write",
+			Class:     Class(i % 5),
+			Start:     time.Duration(i) * 123456 * time.Nanosecond,
+			Dur:       time.Duration(i%7) * 1500 * time.Nanosecond,
+		}
+		if i%3 == 0 {
+			s.Bytes = int64(i) * 4096
+		}
+		if i%5 == 0 {
+			s.Attr = "node0/ssd"
+		}
+		spans = append(spans, s)
+	}
+	return spans
+}
+
+// chromeAllocs measures the allocations of one WriteChrome of a run with n
+// spans, n flows and n counter samples.
 func chromeAllocs(t *testing.T, n int) float64 {
 	t.Helper()
 	spans := synthSpans(n)
@@ -194,15 +219,6 @@ func chromeAllocs(t *testing.T, n int) float64 {
 	}
 	runs := []Run{{Label: "alloc", Spans: spans, Flows: flows, Counters: []Counter{{Name: "util", Times: times, Values: values}}}}
 	return testing.AllocsPerRun(5, func() {
-		cs := NewChromeStream(io.Discard)
-		rec := cs.StartRun("alloc")
-		for _, s := range spans {
-			rec.Emit(s)
-		}
-		cs.EndRun(rec, nil)
-		if err := cs.Close(); err != nil {
-			t.Fatal(err)
-		}
 		if err := WriteChrome(io.Discard, runs); err != nil {
 			t.Fatal(err)
 		}
@@ -210,8 +226,8 @@ func chromeAllocs(t *testing.T, n int) float64 {
 }
 
 // Once every proc has its tid, an event costs no allocation: 100x more
-// spans, flows and counter samples through a ChromeStream add zero
-// allocations — everything measured is per-stream and per-thread setup.
+// spans, flows and counter samples through WriteChrome add zero
+// allocations — everything measured is per-document and per-thread setup.
 func TestChromeStreamZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; allocation budget checked without -race")

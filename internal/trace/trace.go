@@ -93,56 +93,20 @@ type Span struct {
 // use. A nil *Recorder is valid and inert: every method is nil-safe, so
 // instrumentation sites call Emit unconditionally and pay only a nil check
 // when tracing is off.
-//
-// A recorder returned by ChromeStream.StartRun runs in streaming mode:
-// spans are serialized the moment they are emitted and never retained, and
-// per-operation statistics are folded incrementally (Stats). Streaming
-// recorder memory is O(distinct procs + operation kinds) regardless of run
-// length — the bounded-memory mode for million-event runs.
 type Recorder struct {
 	spans []Span
-
-	// Streaming mode (ChromeStream.StartRun); nil for buffered recorders.
-	stream *ChromeStream
-	pid    int
-	tids   map[string]int // proc -> Chrome tid, in first-appearance order
-	agg    Aggregator
 }
 
-// NewRecorder returns an empty buffered recorder.
+// NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// Emit records one span: appended in buffered mode, serialized to the
-// Chrome stream (and folded into the incremental statistics) in streaming
-// mode. On a nil recorder it is a no-op; the span value stays on the
-// caller's stack, so disabled tracing allocates nothing.
+// Emit appends one span. On a nil recorder it is a no-op; the span value
+// stays on the caller's stack, so disabled tracing allocates nothing.
 func (r *Recorder) Emit(s Span) {
 	if r == nil {
 		return
 	}
-	if r.stream != nil {
-		r.stream.span(r, s)
-		r.agg.Observe(s)
-		return
-	}
 	r.spans = append(r.spans, s)
-}
-
-// Streaming reports whether the recorder serializes spans on emission
-// instead of retaining them (false on a nil recorder).
-func (r *Recorder) Streaming() bool { return r != nil && r.stream != nil }
-
-// Stats returns the run's per-operation statistics: the incrementally
-// folded aggregates of a streaming recorder, or Aggregate over the retained
-// spans of a buffered one. Nil on a nil recorder.
-func (r *Recorder) Stats() []OpStat {
-	if r == nil {
-		return nil
-	}
-	if r.stream != nil {
-		return r.agg.Stats()
-	}
-	return Aggregate(r.spans)
 }
 
 // Enabled reports whether spans are being recorded. Sites that must build
@@ -274,46 +238,35 @@ func (st *OpStat) P50() time.Duration { return st.Percentile(50) }
 // P99 estimates the operation's 99th-percentile duration.
 func (st *OpStat) P99() time.Duration { return st.Percentile(99) }
 
-// Aggregator folds spans into per-operation statistics one at a time — the
-// incremental core of Aggregate, and what streaming recorders use so
-// SpanStats survive without the span vector. The zero value is ready.
-type Aggregator struct {
-	idx   map[[2]string]int
-	stats []OpStat
-}
-
-// Observe folds one span into its (component, name) operation.
-func (a *Aggregator) Observe(s Span) {
-	if a.idx == nil {
-		a.idx = make(map[[2]string]int)
+// Aggregate folds a span stream into per-operation statistics, sorted by
+// (component, name). The result is deterministic for a deterministic span
+// stream.
+func Aggregate(spans []Span) []OpStat {
+	idx := make(map[[2]string]int)
+	var stats []OpStat
+	for _, s := range spans {
+		key := [2]string{s.Component, s.Name}
+		i, ok := idx[key]
+		if !ok {
+			i = len(stats)
+			idx[key] = i
+			stats = append(stats, OpStat{
+				Component: s.Component, Name: s.Name, Class: s.Class,
+				Min: s.Dur, Max: s.Dur,
+			})
+		}
+		st := &stats[i]
+		st.Count++
+		st.Bytes += s.Bytes
+		st.Total += s.Dur
+		if s.Dur < st.Min {
+			st.Min = s.Dur
+		}
+		if s.Dur > st.Max {
+			st.Max = s.Dur
+		}
+		st.Hist[HistBucket(s.Dur)]++
 	}
-	key := [2]string{s.Component, s.Name}
-	i, ok := a.idx[key]
-	if !ok {
-		i = len(a.stats)
-		a.idx[key] = i
-		a.stats = append(a.stats, OpStat{
-			Component: s.Component, Name: s.Name, Class: s.Class,
-			Min: s.Dur, Max: s.Dur,
-		})
-	}
-	st := &a.stats[i]
-	st.Count++
-	st.Bytes += s.Bytes
-	st.Total += s.Dur
-	if s.Dur < st.Min {
-		st.Min = s.Dur
-	}
-	if s.Dur > st.Max {
-		st.Max = s.Dur
-	}
-	st.Hist[HistBucket(s.Dur)]++
-}
-
-// Stats returns a copy of the folded statistics sorted by (component,
-// name); the aggregator can keep observing afterwards.
-func (a *Aggregator) Stats() []OpStat {
-	stats := append([]OpStat(nil), a.stats...)
 	sort.SliceStable(stats, func(i, j int) bool {
 		if stats[i].Component != stats[j].Component {
 			return stats[i].Component < stats[j].Component
@@ -321,15 +274,4 @@ func (a *Aggregator) Stats() []OpStat {
 		return stats[i].Name < stats[j].Name
 	})
 	return stats
-}
-
-// Aggregate folds a span stream into per-operation statistics, sorted by
-// (component, name). The result is deterministic for a deterministic span
-// stream.
-func Aggregate(spans []Span) []OpStat {
-	var a Aggregator
-	for _, s := range spans {
-		a.Observe(s)
-	}
-	return a.Stats()
 }

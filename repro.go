@@ -170,16 +170,6 @@ type TraceCollector = experiments.Collector
 // NewTraceCollector returns an empty trace collector.
 func NewTraceCollector() *TraceCollector { return experiments.NewCollector() }
 
-// ChromeTraceStream is an incremental Chrome trace writer: runs attached to
-// it (Config.TraceStream, ExperimentOptions.TraceStream) serialize each
-// span the moment it is emitted instead of retaining it, keeping tracing
-// memory bounded on arbitrarily long runs. Bytes are identical to buffered
-// collection followed by WriteChromeTrace. Close finishes the document.
-type ChromeTraceStream = trace.ChromeStream
-
-// NewChromeTraceStream starts a Chrome trace-event JSON document on w.
-func NewChromeTraceStream(w io.Writer) *ChromeTraceStream { return trace.NewChromeStream(w) }
-
 // MetricsRegistry is a run's sampled virtual-time metrics (Result.Metrics
 // when Config.MetricsInterval is set). See metrics.Registry.
 type MetricsRegistry = metrics.Registry
@@ -201,20 +191,6 @@ type MetricsCollector = experiments.MetricsCollector
 
 // NewMetricsCollector returns an empty metrics collector.
 func NewMetricsCollector() *MetricsCollector { return experiments.NewMetricsCollector() }
-
-// MetricsCSVSink is an incremental metrics CSV writer: runs attached to it
-// (Config.MetricsSink) write each sample as one CSV row the moment the
-// sampler fires instead of buffering sample vectors, keeping metering
-// memory bounded on arbitrarily long runs. Bytes are identical to buffered
-// collection followed by WriteMetricsCSV. Flush before closing the file.
-type MetricsCSVSink = metrics.CSVSink
-
-// NewMetricsCSVSink starts a metrics time-series CSV document on w.
-func NewMetricsCSVSink(w io.Writer) *MetricsCSVSink { return metrics.NewCSVSink(w) }
-
-// MetricsStreamer streams each experiment's metered repetition into a
-// MetricsCSVSink; attach one via ExperimentOptions.MetricsStream.
-type MetricsStreamer = experiments.MetricsStream
 
 // CritPath is one run's extracted critical path: the gating chain's blame
 // totals per labeled region and class, the synchronization waits it flowed
@@ -268,11 +244,6 @@ func RunExperiment(id string, o ExperimentOptions) (*ExperimentReport, error) {
 	}
 	return e.Run(o)
 }
-
-// ErrNotStreamed is returned, wrapped, by RunExperiment when
-// ExperimentOptions carries a streaming sink the experiment's runs do not
-// reach; use the buffered Trace or Metrics collector instead.
-var ErrNotStreamed = experiments.ErrNotStreamed
 
 // RenderReport writes a report as an aligned text table.
 func RenderReport(w io.Writer, r *ExperimentReport) { r.Render(w) }

@@ -76,13 +76,6 @@ func TestFacadeCritPath(t *testing.T) {
 	if !strings.HasPrefix(wf.String(), "run,frame,hop,proc,start_us,dur_us,bytes\n") {
 		t.Fatalf("waterfall header: %q", wf.String()[:min(len(wf.String()), 60)])
 	}
-
-	// CritPath+TraceStream is rejected up front, not at run time.
-	bad := cfg
-	bad.TraceStream = NewChromeTraceStream(&bytes.Buffer{})
-	if err := bad.Validate(); err == nil {
-		t.Fatal("CritPath+TraceStream validated, want rejection")
-	}
 }
 
 func TestFacadeExplainWorkloads(t *testing.T) {

@@ -57,32 +57,19 @@ go build -race -o "$TRACETMP/mdworkflow" ./cmd/mdworkflow
 "$TRACETMP/mdworkflow" -pairs 2 -frames 16 -reps 4 -j 4 -trace "$TRACETMP/md_j4.txt" > /dev/null
 cmp "$TRACETMP/md_j1.txt" "$TRACETMP/md_j4.txt"
 
-echo "== metrics determinism: -metrics/-metrics-prom at -j1 vs -j8 (race) =="
+echo "== metrics determinism: -metrics/-metrics-prom/-trace at -j1 vs -j8 (race) =="
 # Metrics sampling must be observation-only and worker-count-independent:
-# the time-series CSV, the Prometheus snapshot, and the dashboard report
-# are byte-identical for any -j, on clean (fig5) and faulted (faultsweep)
+# the time-series CSV, the Prometheus snapshot, the dashboard report, and
+# the Chrome trace with the sampled counter tracks merged in are
+# byte-identical for any -j, on clean (fig5) and faulted (faultsweep)
 # seeds alike (DESIGN.md §3f).
-"$TRACETMP/experiments" -quick -q -j 1 -metrics "$TRACETMP/m1.csv" -metrics-prom "$TRACETMP/p1.prom" fig5 faultsweep > "$TRACETMP/mout1.txt"
-"$TRACETMP/experiments" -quick -q -j 8 -metrics "$TRACETMP/m8.csv" -metrics-prom "$TRACETMP/p8.prom" fig5 faultsweep > "$TRACETMP/mout8.txt"
+"$TRACETMP/experiments" -quick -q -j 1 -metrics "$TRACETMP/m1.csv" -metrics-prom "$TRACETMP/p1.prom" -trace "$TRACETMP/mt1.json" fig5 faultsweep > "$TRACETMP/mout1.txt"
+"$TRACETMP/experiments" -quick -q -j 8 -metrics "$TRACETMP/m8.csv" -metrics-prom "$TRACETMP/p8.prom" -trace "$TRACETMP/mt8.json" fig5 faultsweep > "$TRACETMP/mout8.txt"
 cmp "$TRACETMP/m1.csv" "$TRACETMP/m8.csv"
 cmp "$TRACETMP/p1.prom" "$TRACETMP/p8.prom"
+cmp "$TRACETMP/mt1.json" "$TRACETMP/mt8.json"
+grep -q '"ph":"C"' "$TRACETMP/mt1.json" # the counter tracks are really merged
 cmp "$TRACETMP/mout1.txt" "$TRACETMP/mout8.txt"
-
-echo "== streaming-sink determinism: -trace-stream / -metrics-stream vs buffered =="
-# The bounded-memory streaming sinks must be byte-identical to buffered
-# collection: the Chrome trace streamed span-by-span equals the buffered
-# export, and the metrics CSV streamed row-by-row equals WriteCSV over the
-# retained registries (DESIGN.md §3h). Gated on a clean sweep (fig5):
-# faulted runs die mid-stream by design, leaving a valid but intentionally
-# longer streamed document than post-hoc collection of surviving runs.
-"$TRACETMP/experiments" -quick -q -trace "$TRACETMP/bt.json" -metrics "$TRACETMP/bm.csv" fig5 > "$TRACETMP/bout.txt"
-"$TRACETMP/experiments" -quick -q -trace-stream "$TRACETMP/st.json" -metrics-stream "$TRACETMP/sm.csv" fig5 > "$TRACETMP/sout.txt"
-cmp "$TRACETMP/bm.csv" "$TRACETMP/sm.csv"
-# Counter tracks need retained metrics, so compare the trace bytes from a
-# stream paired with buffered metrics (same trace path, same counters).
-"$TRACETMP/experiments" -quick -q -trace-stream "$TRACETMP/st2.json" -metrics "$TRACETMP/bm2.csv" fig5 > /dev/null
-cmp "$TRACETMP/bt.json" "$TRACETMP/st2.json"
-cmp "$TRACETMP/bm.csv" "$TRACETMP/bm2.csv"
 
 echo "== capacity smoke: experiments capsweep -quick (race) =="
 # The finite burst-buffer matrix must complete — every starved run either
